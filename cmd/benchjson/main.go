@@ -246,16 +246,15 @@ func main() {
 			if bm.samples > 0 {
 				samples = bm.samples
 			}
-			// Matrix variants with an explicit pool size raise GOMAXPROCS to
-			// that size for the duration of the measurement (restored after).
-			// Without this, a cgroup-limited recording host would run every
-			// matrix point under GOMAXPROCS=1 — the worker goroutines would
-			// exist but never run simultaneously — and the artifact's
-			// per-result gomaxprocs field could not distinguish a genuine
-			// single-core recording from a mislabeled multi-core one.
+			// Matrix variants with an explicit pool size set GOMAXPROCS to
+			// that size, capped at NumCPU, for the duration of the
+			// measurement (restored after). The cap keeps the per-result
+			// gomaxprocs field honest: raising it past the host's cores
+			// would record time-slicing as parallelism, and the kernels
+			// clamp their workers to min(GOMAXPROCS, NumCPU) anyway.
 			restoreProcs := -1
 			if bm.parallel && wv.n > 1 {
-				restoreProcs = runtime.GOMAXPROCS(wv.n)
+				restoreProcs = runtime.GOMAXPROCS(min(wv.n, runtime.NumCPU()))
 			}
 			fmt.Fprintf(os.Stderr, "running %-40s ", name)
 			// Sample several times and keep the fastest run. On a shared
@@ -430,6 +429,7 @@ func paperScaleSetup() (*core.Graph, *core.Model) {
 // largest reported scale (Table 1 / the right edge of Figure 10).
 func benchPaperScaleForward(b *testing.B) {
 	g, m := paperScaleSetup()
+	m.Forward(g) // build the CSRs once, as the sharded row's warm-up does
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

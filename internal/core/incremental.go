@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -16,9 +15,11 @@ import (
 // full matrix inference after every insertion, IncrementalState caches
 // all layer embeddings and relaxes just the growing D-hop frontier.
 //
-// UpdateIncremental produces bit-identical results to a fresh Forward
-// (verified by tests) at a cost proportional to the affected
-// neighborhood instead of the whole graph.
+// UpdateIncremental produces results bit-identical to a fresh Forward
+// (pinned with == by the tests): each frontier row runs the same
+// aggregate and encoder steps, and so the same SpMM row kernel and the
+// same per-element expression, as the whole-graph pass. Its cost is
+// proportional to the affected neighborhood instead of the whole graph.
 
 // IncrementalRun is a cached-embedding inference session over one graph:
 // Probs exposes the current per-node positive probabilities and Update
@@ -42,13 +43,10 @@ type IncrementalPredictor interface {
 
 // IncrementalState caches per-layer embeddings and output probabilities
 // for incremental updates. It is tied to the (model, graph) pair that
-// produced it.
-//
-// The scratch fields below make repeated updates allocation-free in
-// steady state: the frontier is tracked with an epoch-stamped mark array
-// instead of per-update maps, and the gather/forward buffers keep their
-// capacity between calls. Without this, every update of a large flow
-// churned tens of megabytes and the GC dominated the timing.
+// produced it, and holds exactly E_0 … E_D, the logits and the
+// probabilities; an update's gather/forward buffers are pooled scratch.
+// The frontier is tracked with an epoch-stamped mark array instead of
+// per-update maps, so repeated updates stay allocation-light.
 type IncrementalState struct {
 	embeds []*tensor.Dense // embeds[0] = X copy, embeds[d] = E_d
 	logits *tensor.Dense
@@ -56,24 +54,7 @@ type IncrementalState struct {
 
 	mark          []int32 // mark[v] == epoch ⇔ v is in the current frontier
 	epoch         int32
-	front, front2 []int32         // frontier node lists (double-buffered)
-	gather        []*tensor.Dense // per-layer batched aggregation inputs
-	acts          []*tensor.Dense // per-layer encoder outputs + FC activations
-}
-
-// scratchDense resizes *p to rows×cols, reusing its backing array when
-// the capacity allows. Frontiers grow between updates, so reallocations
-// take 2× headroom to amortize; rows are fully overwritten by every
-// user, so no zeroing is needed.
-func scratchDense(p **tensor.Dense, rows, cols int) *tensor.Dense {
-	d := *p
-	if d == nil || cap(d.Data) < rows*cols {
-		d = &tensor.Dense{Data: make([]float64, rows*cols, rows*cols*2+8)}
-	}
-	d.Rows, d.Cols = rows, cols
-	d.Data = d.Data[:rows*cols]
-	*p = d
-	return d
+	front, front2 []int32 // frontier node lists (double-buffered)
 }
 
 // NewIncrementalState assembles an incremental-inference state from
@@ -87,7 +68,7 @@ func NewIncrementalState(embeds []*tensor.Dense, logits *tensor.Dense) *Incremen
 	if len(embeds) == 0 || logits == nil {
 		panic("core: NewIncrementalState needs per-layer embeddings and logits")
 	}
-	return &IncrementalState{embeds: embeds, logits: logits, Probs: probsFromLogits(logits)}
+	return &IncrementalState{embeds: embeds, logits: logits, Probs: probs(logits)}
 }
 
 // RunFromState wraps an externally assembled state into the same
@@ -122,24 +103,8 @@ func (m *Model) NewIncremental(g *Graph) IncrementalRun {
 func (m *Model) ForwardFull(g *Graph) *IncrementalState {
 	span := obs.StartSpan("infer/full")
 	defer span.End()
-	st := &IncrementalState{}
-	_, cache := m.forward(g, true) // keep=true allocates private buffers
-	st.embeds = cache.embeds
-	// embeds[0] currently aliases g.X; copy so later attribute edits
-	// don't silently corrupt the cache.
-	st.embeds[0] = g.X.Clone()
-	st.logits = cache.logits
-	st.Probs = probsFromLogits(st.logits)
-	return st
-}
-
-func probsFromLogits(logits *tensor.Dense) []float64 {
-	p := nn.Softmax(logits)
-	out := make([]float64, logits.Rows)
-	for i := range out {
-		out[i] = p.At(i, 1)
-	}
-	return out
+	logits, embeds := infer(newWeights[float64](m), g, true)
+	return NewIncrementalState(embeds, logits)
 }
 
 // UpdateIncremental refreshes the state after graph mutations. dirty
@@ -189,18 +154,15 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 	if len(nodes) == 0 {
 		return nil
 	}
-	if len(st.gather) < len(m.Enc) {
-		st.gather = make([]*tensor.Dense, len(m.Enc))
-		st.acts = make([]*tensor.Dense, len(m.Enc)+len(m.FC.Layers))
-	}
 
-	// Each layer's frontier is processed as one batched matrix — gather
-	// the aggregated inputs into a k×cols block, run a single encoder
-	// forward, scatter the rows back into the cache. Per row the kernel
-	// accumulates in the same index order as the 1-row case, so batching
-	// is bit-identical; it just replaces k tiny MatMuls with one.
-	wpr, wsu := m.Wpr.Data[0], m.Wsu.Data[0]
-	for d, enc := range m.Enc {
+	// Each layer's frontier is processed as one batched matrix: aggregate
+	// gathers the frontier's aggregates into a k×cols block, one encoder
+	// forward runs over it, and the rows are scattered back into the
+	// cache. Per row the kernels accumulate in the same order as the
+	// whole-graph pass, so batching is bit-identical; it just replaces k
+	// tiny MatMuls with one.
+	w := newWeights[float64](m)
+	for d := range w.enc {
 		// A node's E_{d+1} depends on its own and its neighbors' E_d, so
 		// the affected set grows by one hop per layer.
 		st.epoch++
@@ -230,69 +192,43 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		nodes, next = next, nodes
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 
-		prev := st.embeds[d]
-		cur := st.embeds[d+1]
-		batch := scratchDense(&st.gather[d], len(nodes), prev.Cols)
-		for i, v := range nodes {
-			agg := batch.Row(i)
-			copy(agg, prev.Row(int(v)))
-			preds, pvals := g.PredEntries(v)
-			for k, u := range preds {
-				w := wpr * pvals[k]
-				row := prev.Row(int(u))
-				for j, x := range row {
-					agg[j] += w * x
-				}
-			}
-			succs, svals := g.SuccEntries(v)
-			for k, u := range succs {
-				w := wsu * svals[k]
-				row := prev.Row(int(u))
-				for j, x := range row {
-					agg[j] += w * x
-				}
-			}
-		}
-		out := enc.ForwardInto(scratchDense(&st.acts[d], len(nodes), cur.Cols), batch)
-		out.ReLUInPlace()
+		prev, cur := st.embeds[d], st.embeds[d+1]
+		pe := tensor.GetDense(len(nodes), prev.Cols)
+		agg := tensor.GetDense(len(nodes), prev.Cols)
+		aggregate(g, w, prev, nodes, pe, pe, agg)
+		tensor.PutDense(pe)
+		out := tensor.GetDense(len(nodes), cur.Cols)
+		w.enc[d].apply(out, agg, true)
+		tensor.PutDense(agg)
 		for i, v := range nodes {
 			copy(cur.Row(int(v)), out.Row(i))
 		}
+		tensor.PutDense(out)
 	}
 
 	// Classifier head over the final frontier rows only, again as one
-	// batched forward instead of one per node. The MLP layers are driven
-	// directly (rather than via Infer) so the activations reuse the
-	// state's scratch buffers across updates of varying frontier size.
+	// batched forward instead of one per node.
 	affected := nodes
 	last := st.embeds[len(st.embeds)-1]
-	cur := last
+	in := last
 	if len(affected) < last.Rows {
-		in := scratchDense(&st.gather[len(m.Enc)-1], len(affected), last.Cols)
+		in = tensor.GetDense(len(affected), last.Cols)
 		for i, v := range affected {
 			copy(in.Row(i), last.Row(int(v)))
 		}
-		cur = in
 	}
-	for i, l := range m.FC.Layers {
-		dst := l.ForwardInto(scratchDense(&st.acts[len(m.Enc)+i], cur.Rows, l.Out), cur)
-		cur = dst
-		if i+1 < len(m.FC.Layers) {
-			cur.ReLUInPlace()
-		}
-	}
-	logits := cur
-	// Pooled softmax scratch: this runs once per insertion in the OPI
-	// loop, and nn.Softmax's fresh clone per call was the last per-update
-	// allocation left in the steady state.
-	p := tensor.GetDense(logits.Rows, logits.Cols)
-	p.CopyFrom(logits)
-	p.SoftmaxRowsInPlace()
+	logits := tensor.GetDense(len(affected), st.logits.Cols)
+	w.head(nil, logits, in, in != last)
 	for i, v := range affected {
 		copy(st.logits.Row(int(v)), logits.Row(i))
-		st.Probs[v] = p.At(i, 1)
 	}
-	tensor.PutDense(p)
+	// The same softmax as probs, in place on the pooled batch once its
+	// logits are saved.
+	logits.SoftmaxRowsInPlace()
+	for i, v := range affected {
+		st.Probs[v] = logits.At(i, 1)
+	}
+	tensor.PutDense(logits)
 	return affected
 }
 

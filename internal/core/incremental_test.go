@@ -6,44 +6,57 @@ import (
 	"testing"
 )
 
+// mutationSteps is how many mixed edits the incremental-vs-full tests
+// replay: enough attribute refreshes and insertions that rows accumulate
+// many rounds of incremental relaxation.
+const mutationSteps = 84
+
+// mutate applies edit step of the mixed sequence the incremental tests
+// replay: even steps refresh the attributes of a few random nodes (the
+// cone refresh the insertion flow performs), odd steps insert an
+// observation point (the graph grows). It returns the dirty rows.
+func mutate(g *Graph, rng *rand.Rand, step int) []int32 {
+	var dirty []int32
+	if step%2 == 0 {
+		for k := 0; k < 5; k++ {
+			v := int32(rng.Intn(g.N))
+			g.SetAttributes(v, float64(rng.Intn(30)), float64(1+rng.Intn(9)),
+				float64(1+rng.Intn(9)), float64(rng.Intn(50)))
+			dirty = append(dirty, v)
+		}
+		return dirty
+	}
+	target := int32(rng.Intn(g.N))
+	for g.N > 0 && !insertableForTest(g, target) {
+		target = int32(rng.Intn(g.N))
+	}
+	g.AddObservationPoint(target)
+	return nil
+}
+
+// TestIncrementalMatchesFullAfterMutations pins DESIGN decision 6: after
+// every one of many mixed edits the incremental session's probabilities
+// are == to a full pass over the mutated graph, not merely close.
 func TestIncrementalMatchesFullAfterMutations(t *testing.T) {
 	g := testGraph(101, 400)
 	m := MustNewModel(tinyConfig(7))
 	st := m.ForwardFull(g)
 
-	// Baseline agreement.
 	full := m.Predict(g)
 	for v := range full {
-		if math.Abs(st.Probs[v]-full[v]) > 1e-12 {
+		if st.Probs[v] != full[v] {
 			t.Fatalf("initial state disagrees at %d", v)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	for step := 0; step < 6; step++ {
-		var dirty []int32
-		if step%2 == 0 {
-			// Attribute refresh of a random region.
-			for k := 0; k < 5; k++ {
-				v := int32(rng.Intn(g.N))
-				g.SetAttributes(v, float64(rng.Intn(30)), float64(1+rng.Intn(9)),
-					float64(1+rng.Intn(9)), float64(rng.Intn(50)))
-				dirty = append(dirty, v)
-			}
-		} else {
-			// Observation point insertion (graph grows).
-			target := int32(rng.Intn(g.N))
-			for g.N > 0 && !insertableForTest(g, target) {
-				target = int32(rng.Intn(g.N))
-			}
-			g.AddObservationPoint(target)
-		}
-		m.UpdateIncremental(st, g, dirty)
-
+	for step := 0; step < mutationSteps; step++ {
+		m.UpdateIncremental(st, g, mutate(g, rng, step))
 		want := m.Predict(g)
 		for v := range want {
-			if math.Abs(st.Probs[v]-want[v]) > 1e-9 {
-				t.Fatalf("step %d: node %d incremental %g full %g", step, v, st.Probs[v], want[v])
+			if st.Probs[v] != want[v] {
+				t.Fatalf("step %d: node %d incremental %g full %g (off by %g)",
+					step, v, st.Probs[v], want[v], st.Probs[v]-want[v])
 			}
 		}
 	}

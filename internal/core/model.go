@@ -74,31 +74,12 @@ type Model struct {
 	Enc []*nn.Linear
 	FC  *nn.MLP
 
-	// scratch holds reusable inference buffers keyed by role+layer; only
-	// the keep=false (inference) path uses them, so training caches stay
-	// intact. A Model is therefore not safe for concurrent use; the
-	// trainer gives each worker its own replica.
-	scratch map[string]*tensor.Dense
-
-	// f32 enables the float32 scoring path (see forward32.go); w32 caches
-	// the narrowed parameters and scratch32 the f32 inference buffers.
-	f32       bool
-	w32       *weights32
-	scratch32 map[string]*tensor.Dense32
-}
-
-// buf returns a reusable scratch matrix for the given role, reallocating
-// when the requested shape changes.
-func (m *Model) buf(key string, rows, cols int) *tensor.Dense {
-	if m.scratch == nil {
-		m.scratch = make(map[string]*tensor.Dense)
-	}
-	if d, ok := m.scratch[key]; ok && d.Rows == rows && d.Cols == cols {
-		return d
-	}
-	d := tensor.NewDense(rows, cols)
-	m.scratch[key] = d
-	return d
+	// f32 enables the float32 scoring path (see infer.go); w32 caches the
+	// narrowed parameters. Per-call buffers are pooled scratch, never kept
+	// on the Model, but the cache makes a Model unsafe for concurrent use
+	// all the same; the trainer gives each worker its own replica.
+	f32 bool
+	w32 *weights[float32]
 }
 
 // NewModel initializes a model from cfg using cfg.Seed.
@@ -205,61 +186,41 @@ type forwardCache struct {
 // Forward runs matrix-formulated inference over the whole graph and
 // returns the logits (N×NumClasses). The per-step computation is
 // Equation 3: E_d = σ((A·E_{d-1})·W_d) with A = I + wpr·P + wsu·S, which
-// this implementation evaluates as three SpMM-free terms so that wpr and
-// wsu stay differentiable scalars.
+// this implementation evaluates as three terms so that wpr and wsu stay
+// differentiable scalars. Forward always runs float64.
 func (m *Model) Forward(g *Graph) *tensor.Dense {
-	logits, _ := m.forward(g, false)
+	logits, _ := infer(newWeights[float64](m), g, false)
 	return logits
-}
-
-func (m *Model) forward(g *Graph, keep bool) (*tensor.Dense, *forwardCache) {
-	P, S := g.Pred(), g.Succ()
-	wpr, wsu := m.Wpr.Data[0], m.Wsu.Data[0]
-	cache := &forwardCache{}
-	cur := g.X
-	cache.embeds = append(cache.embeds, cur)
-	for d, enc := range m.Enc {
-		var pe, se, agg, next *tensor.Dense
-		if keep {
-			pe = tensor.NewDense(g.N, cur.Cols)
-			se = tensor.NewDense(g.N, cur.Cols)
-			agg = tensor.NewDense(g.N, cur.Cols)
-			next = nil // allocated by the encoder
-		} else {
-			pe = m.buf(fmt.Sprintf("pe%d", d), g.N, cur.Cols)
-			se = m.buf(fmt.Sprintf("se%d", d), g.N, cur.Cols)
-			agg = m.buf(fmt.Sprintf("agg%d", d), g.N, cur.Cols)
-			next = m.buf(fmt.Sprintf("e%d", d), g.N, enc.Out)
-		}
-		P.MulDenseParallel(pe, cur, 0)
-		S.MulDenseParallel(se, cur, 0)
-		agg.CopyFrom(cur)
-		agg.AxpyInPlace(wpr, pe)
-		agg.AxpyInPlace(wsu, se)
-		next = enc.ForwardInto(next, agg)
-		next.ReLUInPlace()
-		if keep {
-			cache.pe = append(cache.pe, pe)
-			cache.se = append(cache.se, se)
-			cache.agg = append(cache.agg, agg)
-		}
-		cur = next
-		cache.embeds = append(cache.embeds, cur)
-	}
-	var logits *tensor.Dense
-	if keep {
-		logits = m.FC.Forward(cur)
-	} else {
-		logits = m.FC.Infer(cur)
-	}
-	cache.logits = logits
-	return logits, cache
 }
 
 // Embeddings returns the final node embeddings E_D (before the FC head).
 func (m *Model) Embeddings(g *Graph) *tensor.Dense {
-	_, cache := m.forward(g, false)
-	return cache.embeds[len(cache.embeds)-1]
+	_, embeds := infer(newWeights[float64](m), g, true)
+	return embeds[len(embeds)-1]
+}
+
+// forward is the training pass: the same aggregate and encoder steps as
+// inference, with every intermediate kept for backward.
+func (m *Model) forward(g *Graph) (*tensor.Dense, *forwardCache) {
+	w := newWeights[float64](m)
+	cur := g.X
+	cache := &forwardCache{embeds: []*tensor.Dense{cur}}
+	for i := range w.enc {
+		l := &w.enc[i]
+		pe := tensor.NewDense(g.N, cur.Cols)
+		se := tensor.NewDense(g.N, cur.Cols)
+		agg := tensor.NewDense(g.N, cur.Cols)
+		next := tensor.NewDense(g.N, l.W.Cols)
+		aggregate(g, w, cur, nil, pe, se, agg)
+		l.apply(next, agg, true)
+		cache.pe = append(cache.pe, pe)
+		cache.se = append(cache.se, se)
+		cache.agg = append(cache.agg, agg)
+		cur = next
+		cache.embeds = append(cache.embeds, cur)
+	}
+	cache.logits = m.FC.Forward(cur)
+	return cache.logits, cache
 }
 
 // LossAndGrad runs one full forward/backward pass over the graph,
@@ -267,7 +228,7 @@ func (m *Model) Embeddings(g *Graph) *tensor.Dense {
 // the loss. classWeights (len NumClasses) applies the paper's imbalance
 // weighting; nil means uniform. It returns the scalar loss.
 func (m *Model) LossAndGrad(g *Graph, labels []int, classWeights []float64) float64 {
-	logits, cache := m.forward(g, true)
+	logits, cache := m.forward(g)
 	loss, dlogits := nn.WeightedCrossEntropy(logits, labels, classWeights)
 	m.backward(g, cache, dlogits)
 	return loss
@@ -311,19 +272,14 @@ func (m *Model) backward(g *Graph, cache *forwardCache, dlogits *tensor.Dense) {
 }
 
 // Predict returns the positive-class probability for every node. With
-// SetFloat32Inference(true) the pass runs in float32 (forward32.go);
+// SetFloat32Inference(true) the pass runs in float32 (infer.go);
 // otherwise exact float64.
 func (m *Model) Predict(g *Graph) []float64 {
 	if m.f32 {
-		return m.predict32(g)
+		logits, _ := infer(m.weights32(), g, false)
+		return probs(logits)
 	}
-	logits := m.Forward(g)
-	probs := nn.Softmax(logits)
-	out := make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		out[i] = probs.At(i, 1)
-	}
-	return out
+	return probs(m.Forward(g))
 }
 
 // PredictProbs is an alias of Predict satisfying the insertion flow's

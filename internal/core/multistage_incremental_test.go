@@ -18,46 +18,29 @@ func testCascade(seed int64) *MultiStage {
 	}
 }
 
+// TestMultiStageIncrementalMatchesFullAfterMutations is the cascade twin
+// of TestIncrementalMatchesFullAfterMutations: == to PredictProbs after
+// every one of many mixed edits.
 func TestMultiStageIncrementalMatchesFullAfterMutations(t *testing.T) {
 	g := testGraph(201, 400)
 	ms := testCascade(11)
 	st := ms.ForwardFull(g)
 
-	// Baseline agreement with the from-scratch cascade.
 	full := ms.PredictProbs(g)
 	for v := range full {
-		if math.Abs(st.Probs[v]-full[v]) > 1e-12 {
+		if st.Probs[v] != full[v] {
 			t.Fatalf("initial cascade state disagrees at %d", v)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	for step := 0; step < 6; step++ {
-		var dirty []int32
-		if step%2 == 0 {
-			// Attribute refresh of a random region (the cone refresh the
-			// insertion flow performs).
-			for k := 0; k < 5; k++ {
-				v := int32(rng.Intn(g.N))
-				g.SetAttributes(v, float64(rng.Intn(30)), float64(1+rng.Intn(9)),
-					float64(1+rng.Intn(9)), float64(rng.Intn(50)))
-				dirty = append(dirty, v)
-			}
-		} else {
-			// Observation point insertion (graph grows).
-			target := int32(rng.Intn(g.N))
-			for g.N > 0 && !insertableForTest(g, target) {
-				target = int32(rng.Intn(g.N))
-			}
-			g.AddObservationPoint(target)
-		}
-		ms.UpdateIncremental(st, g, dirty)
-
+	for step := 0; step < mutationSteps; step++ {
+		ms.UpdateIncremental(st, g, mutate(g, rng, step))
 		want := ms.PredictProbs(g)
 		for v := range want {
-			if math.Abs(st.Probs[v]-want[v]) > 1e-9 {
-				t.Fatalf("step %d: node %d cascade incremental %g full %g",
-					step, v, st.Probs[v], want[v])
+			if st.Probs[v] != want[v] {
+				t.Fatalf("step %d: node %d cascade incremental %g full %g (off by %g)",
+					step, v, st.Probs[v], want[v], st.Probs[v]-want[v])
 			}
 		}
 		if len(st.Probs) != g.N {

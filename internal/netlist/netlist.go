@@ -179,6 +179,9 @@ func (n *Netlist) AddGate(t GateType, name string, fanin ...int32) (int32, error
 		if f < 0 || f >= id {
 			return 0, fmt.Errorf("netlist: gate %q fanin %d out of range [0,%d)", name, f, id)
 		}
+		if ft := n.gates[f].Type; ft == Output || ft == Obs {
+			return 0, fmt.Errorf("netlist: gate %q reads %s cell %d, and sink cells drive nothing", name, ft, f)
+		}
 	}
 	n.gates = append(n.gates, Gate{Type: t, Name: name, Fanin: append([]int32(nil), fanin...)})
 	n.invalidate()

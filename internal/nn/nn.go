@@ -226,9 +226,6 @@ type MLP struct {
 	// retained for Backward.
 	acts  []*tensor.Dense
 	input *tensor.Dense
-	// inferBufs are reusable per-layer outputs for Infer (inference-only
-	// forward passes that never feed Backward).
-	inferBufs []*tensor.Dense
 }
 
 // NewMLP builds an MLP with the given layer dimensions, e.g.
@@ -265,24 +262,6 @@ func (m *MLP) Forward(x *tensor.Dense) *tensor.Dense {
 			cur.ReLUInPlace()
 		}
 		m.acts = append(m.acts, cur)
-	}
-	return cur
-}
-
-// Infer is Forward without retaining state for Backward; per-layer
-// output buffers are reused across calls, so the returned logits are
-// only valid until the next Infer. Not safe for concurrent use.
-func (m *MLP) Infer(x *tensor.Dense) *tensor.Dense {
-	if m.inferBufs == nil {
-		m.inferBufs = make([]*tensor.Dense, len(m.Layers))
-	}
-	cur := x
-	for i, l := range m.Layers {
-		m.inferBufs[i] = l.ForwardInto(m.inferBufs[i], cur)
-		cur = m.inferBufs[i]
-		if i+1 < len(m.Layers) {
-			cur.ReLUInPlace()
-		}
 	}
 	return cur
 }

@@ -9,35 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestInferMatchesForward pins that the buffer-reusing inference path is
-// numerically identical to the training forward pass.
-func TestInferMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := NewMLP("m", []int{6, 12, 8, 3}, rng)
-	for trial := 0; trial < 5; trial++ {
-		x := randInput(rng, 1+trial*3, 6)
-		a := m.Forward(x).Clone()
-		b := m.Infer(x)
-		if diff := tensor.MaxAbsDiff(a, b); diff != 0 {
-			t.Fatalf("trial %d: Infer differs by %g", trial, diff)
-		}
-	}
-}
-
-func TestInferBufferReuseAcrossShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m := NewMLP("m", []int{4, 8, 2}, rng)
-	// Alternate row counts; buffers must be reallocated transparently.
-	for _, rows := range []int{3, 7, 3, 1, 7} {
-		x := randInput(rng, rows, 4)
-		got := m.Infer(x)
-		want := m.Forward(x)
-		if diff := tensor.MaxAbsDiff(got, want); diff != 0 {
-			t.Fatalf("rows=%d: diff %g", rows, diff)
-		}
-	}
-}
-
 func TestForwardIntoAllocatesOnNilAndBadShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	l := NewLinear("l", 3, 2, rng)

@@ -23,8 +23,14 @@ type Pool struct {
 
 type poolJob struct {
 	fn  func()
-	wg  *sync.WaitGroup
-	rec *panicRecord
+	run *poolRun
+}
+
+// poolRun is the state one parallel Run shares with its tasks, kept in a
+// single allocation: the completion barrier and the first panic.
+type poolRun struct {
+	wg  sync.WaitGroup
+	rec panicRecord
 }
 
 // panicRecord captures the first panic raised by any task of a Run so
@@ -79,15 +85,14 @@ func (p *Pool) Run(tasks []func()) {
 		return
 	}
 	p.start.Do(p.spawn)
-	var wg sync.WaitGroup
-	rec := &panicRecord{}
-	wg.Add(len(tasks))
+	run := &poolRun{}
+	run.wg.Add(len(tasks))
 	for _, fn := range tasks {
-		p.jobs <- poolJob{fn: fn, wg: &wg, rec: rec}
+		p.jobs <- poolJob{fn: fn, run: run}
 	}
-	wg.Wait()
-	if rec.set {
-		panic(rec.val)
+	run.wg.Wait()
+	if run.rec.set {
+		panic(run.rec.val)
 	}
 }
 
@@ -95,17 +100,17 @@ func (p *Pool) spawn() {
 	for i := 0; i < p.workers; i++ {
 		go func() {
 			for j := range p.jobs {
-				j.run()
+				j.do()
 			}
 		}()
 	}
 }
 
-func (j poolJob) run() {
-	defer j.wg.Done()
+func (j poolJob) do() {
+	defer j.run.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			j.rec.capture(r)
+			j.run.rec.capture(r)
 		}
 	}()
 	j.fn()

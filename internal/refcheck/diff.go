@@ -75,17 +75,7 @@ func CheckFaultSim(n *netlist.Netlist, seed int64, maxFaults int) error {
 		}
 	}
 
-	if maxFaults < 1 {
-		maxFaults = 1
-	}
-	stride := n.NumGates() / maxFaults
-	if stride < 1 {
-		stride = 1
-	}
-	for node := int32(0); node < int32(n.NumGates()); node += int32(stride) {
-		if t := n.Type(node); t == netlist.Output || t == netlist.Obs {
-			continue // forcing a sink's own output is unobservable by construction
-		}
+	for _, node := range faultSites(n, maxFaults) {
 		for _, sa1 := range []bool{false, true} {
 			sim.BatchWithFault(src, node, sa1)
 			faultyBatch := append([]uint64(nil), sim.Values()...)
@@ -105,6 +95,55 @@ func CheckFaultSim(n *netlist.Netlist, seed int64, maxFaults int) error {
 		}
 	}
 	return nil
+}
+
+// faultSites is the stride sample of up to maxFaults fault sites the
+// fault-simulation checks visit. Sinks are skipped: forcing a sink's own
+// output is unobservable by construction.
+func faultSites(n *netlist.Netlist, maxFaults int) []int32 {
+	if maxFaults < 1 {
+		maxFaults = 1
+	}
+	stride := n.NumGates() / maxFaults
+	if stride < 1 {
+		stride = 1
+	}
+	var out []int32
+	for node := int32(0); node < int32(n.NumGates()); node += int32(stride) {
+		if t := n.Type(node); t != netlist.Output && t != netlist.Obs {
+			out = append(out, node)
+		}
+	}
+	return out
+}
+
+// CPTAgreement compares the critical-path-tracing detection criterion
+// (CPTDetectMask over one bit-parallel batch derived from seed) with
+// exact fault injection (fault.ExactDetectMask on the same patterns) at
+// the faultSites sample, both stuck-at polarities. A fault counts as
+// compared when CPT claims at least one detecting pattern, and as
+// agreeing when every claimed pattern really detects it. CPT merges
+// fanout branches with OR, so under reconvergent fanout it can claim a
+// detection that exact injection refutes; this measures how often.
+func CPTAgreement(n *netlist.Netlist, seed int64, maxFaults int) (agree, compared int) {
+	words := BatchSourceWords(n, seed, 0)
+	sim := fault.NewSimulator(n)
+	sim.BatchFrom(func(id int32) uint64 { return words[id] })
+	vals := append([]uint64(nil), sim.Values()...)
+	obsWords := append([]uint64(nil), sim.Obs()...)
+	for _, node := range faultSites(n, maxFaults) {
+		for _, sa1 := range []bool{false, true} {
+			claimed := CPTDetectMask(vals, obsWords, node, sa1)
+			if claimed == 0 {
+				continue
+			}
+			compared++
+			if claimed&^fault.ExactDetectMask(n, seed, 0, node, sa1) == 0 {
+				agree++
+			}
+		}
+	}
+	return agree, compared
 }
 
 // CheckSparseOps multiplies a COO matrix (and its CSR conversion,

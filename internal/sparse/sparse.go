@@ -238,23 +238,51 @@ func (m *CSR) sumDuplicatesInPlace() {
 
 // MulDense computes dst = m·x; dst must be NumRows×x.Cols.
 func (m *CSR) MulDense(dst, x *tensor.Dense) {
-	if x.Rows != m.NumCols || dst.Rows != m.NumRows || dst.Cols != x.Cols {
-		panic("sparse: CSR MulDense shape mismatch")
-	}
-	m.mulRows(dst, x, 0, m.NumRows)
+	m.checkMul("MulDense", dst.Rows, dst.Cols, x.Rows, x.Cols)
+	mulRows(m, dst, x, nil, 0, m.NumRows)
 }
 
-func (m *CSR) mulRows(dst, x *tensor.Dense, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		drow := dst.Row(r)
+// checkMul panics unless dst (dstRows×dstCols) can hold m·x for an x of
+// xRows×xCols.
+func (m *CSR) checkMul(op string, dstRows, dstCols, xRows, xCols int) {
+	if xRows != m.NumCols || dstRows != m.NumRows || dstCols != xCols {
+		panic("sparse: CSR " + op + " shape mismatch")
+	}
+}
+
+// mulRows is the one SpMM row kernel: it computes rows lo..hi-1 of m·x
+// into the same rows of dst when sel is nil, and otherwise product row
+// sel[i] into dst row i for i in [lo, hi). Every whole-matrix, banded,
+// row-range and gathered product below runs it, so a row computed by
+// any of them is bit-identical to the same row computed by any other.
+// The adjacency values stay float64 (the CSR is shared by both
+// precisions) and are converted to T per entry. As in tensor.MatMul, the
+// column loop is unrolled by four without changing any element's
+// operations or their order, so its speed does not depend on where the
+// linker places it.
+func mulRows[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], sel []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r := i
+		if sel != nil {
+			r = int(sel[i])
+		}
+		drow := dst.Row(i)
 		for j := range drow {
 			drow[j] = 0
 		}
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v := m.Vals[p]
+			v := T(m.Vals[p])
 			xrow := x.Row(int(m.ColIdx[p]))
-			for j, xv := range xrow {
-				drow[j] += v * xv
+			j := 0
+			for ; j+4 <= len(xrow); j += 4 {
+				d, xv := drow[j:j+4:j+4], xrow[j:j+4:j+4]
+				d[0] += v * xv[0]
+				d[1] += v * xv[1]
+				d[2] += v * xv[2]
+				d[3] += v * xv[3]
+			}
+			for ; j < len(xrow); j++ {
+				drow[j] += v * xrow[j]
 			}
 		}
 	}
@@ -273,7 +301,28 @@ func (m *CSR) MulDenseRows(dst, x *tensor.Dense, lo, hi int) {
 	}
 	spmmCalls.Inc()
 	spmmRows.Add(int64(hi - lo))
-	m.mulRows(dst, x, lo, hi)
+	mulRows(m, dst, x, nil, lo, hi)
+}
+
+// MulGather computes the listed rows of m·x: dst row i is row rows[i] of
+// the product. dst must be len(rows)×x.Cols. The incremental-inference
+// session uses it to refresh just a frontier of nodes with the same row
+// kernel, and therefore the same bits, as a whole-graph product.
+func MulGather[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], rows []int32) {
+	if x.Rows != m.NumCols || dst.Rows != len(rows) || dst.Cols != x.Cols {
+		panic("sparse: CSR MulGather shape mismatch")
+	}
+	countCall[T](len(rows))
+	mulRows(m, dst, x, rows, 0, len(rows))
+}
+
+// countCall records one SpMM invocation over rows rows.
+func countCall[T tensor.Float](rows int) {
+	if is32[T]() {
+		spmmF32Calls.Inc()
+	}
+	spmmCalls.Inc()
+	spmmRows.Add(int64(rows))
 }
 
 // clampWorkers resolves an effective worker count: workers <= 0 selects
@@ -307,13 +356,17 @@ const bandsPerWorker = 4
 // numRows). Level-banded circuits have heavily skewed row densities, so
 // equal-ROW chunks (the old scheme) leave workers idle; equal-NNZ bands
 // balance actual work.
-func nnzBands(rowPtr []int32, n int) []int32 {
+func nnzBands(rowPtr []int32, n int) []int32 { return nnzBandsInto(nil, rowPtr, n) }
+
+// nnzBandsInto is nnzBands writing into buf's storage when its capacity
+// allows.
+func nnzBandsInto(buf, rowPtr []int32, n int) []int32 {
 	rows := len(rowPtr) - 1
 	total := int64(rowPtr[rows])
 	if n < 1 {
 		n = 1
 	}
-	bands := make([]int32, 1, n+1)
+	bands := append(buf[:0], 0)
 	for b := 1; b < n; b++ {
 		target := int32(total * int64(b) / int64(n))
 		r := sort.Search(rows, func(i int) bool { return rowPtr[i] >= target })
@@ -327,44 +380,112 @@ func nnzBands(rowPtr []int32, n int) []int32 {
 	return bands
 }
 
-// MulDenseParallel is MulDense with rows partitioned across workers
-// goroutines (workers <= 0 selects GOMAXPROCS; the count is clamped to
+// Mul computes dst = m·x with rows partitioned across workers goroutines
+// (workers <= 0 selects GOMAXPROCS; the count is clamped to
 // min(GOMAXPROCS, NumCPU)). Work is split into nnz-balanced row bands
 // (bandsPerWorker per worker) that workers pull off a shared cursor.
-// This is the CPU analogue of the paper's GPU SpMM.
-func (m *CSR) MulDenseParallel(dst, x *tensor.Dense, workers int) {
-	if x.Rows != m.NumCols || dst.Rows != m.NumRows || dst.Cols != x.Cols {
-		panic("sparse: CSR MulDenseParallel shape mismatch")
-	}
-	spmmCalls.Inc()
-	spmmRows.Add(int64(m.NumRows))
+// This is the CPU analogue of the paper's GPU SpMM, in either precision.
+// Every row runs the same kernel whichever worker takes it, so the result
+// is bit-identical to the serial product.
+func Mul[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], workers int) {
+	m.checkMul("Mul", dst.Rows, dst.Cols, x.Rows, x.Cols)
+	countCall[T](m.NumRows)
 	workers = clampWorkers(workers)
 	// Serial fallback: with fewer than two rows per worker the goroutine
 	// fan-out costs more than it saves (and rows < workers would leave
 	// some workers with an empty range).
 	if workers == 1 || m.NumRows < 2*workers {
-		m.mulRows(dst, x, 0, m.NumRows)
+		mulRows(m, dst, x, nil, 0, m.NumRows)
 		return
 	}
 	spmmParallelCalls.Inc()
-	bands := nnzBands(m.RowPtr, workers*bandsPerWorker)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(bands)-1 {
-					return
-				}
-				m.mulRows(dst, x, int(bands[i]), int(bands[i+1]))
-			}
-		}()
+	pool := &bandRuns64
+	if is32[T]() {
+		pool = &bandRuns32
 	}
-	wg.Wait()
+	b, _ := pool.Get().(*bandRun[T])
+	if b == nil {
+		b = new(bandRun[T])
+	}
+	b.m, b.dst, b.x = m, dst, x
+	b.bands = nnzBandsInto(b.bands, m.RowPtr, workers*bandsPerWorker)
+	b.cursor.Store(0)
+	startHelpers.Do(func() {
+		for i := 1; i < runtime.NumCPU(); i++ {
+			go func() {
+				for j := range helperJobs {
+					j.help()
+				}
+			}()
+		}
+	})
+	for w := 1; w < workers; w++ {
+		b.wg.Add(1)
+		select {
+		case helperJobs <- b:
+		default:
+			b.wg.Done() // every helper is busy elsewhere: fewer hands, same result
+		}
+	}
+	b.work() // the calling goroutine works too
+	b.wg.Wait()
+	b.m, b.dst, b.x = nil, nil, nil
+	pool.Put(b)
 }
+
+// Parallel products run on the calling goroutine plus up to workers-1
+// long-lived helpers (NumCPU-1 of them, started on first use). Handing a
+// helper its job is a channel send of a pooled run, so a steady-state
+// parallel product allocates nothing, and concurrent products share the
+// helpers instead of oversubscribing the cores. The helpers live as long
+// as the process, like the runtime's own workers: an idle one only
+// blocks on the channel, so nothing needs to stop them.
+var (
+	startHelpers sync.Once
+	helperJobs   = make(chan bandJob)
+)
+
+// bandJob is what a helper runs.
+type bandJob interface{ help() }
+
+// bandRun is the shared state of one parallel product: its operands,
+// the band boundaries and the cursor the workers pull band indices off.
+// Runs are pooled per precision.
+type bandRun[T tensor.Float] struct {
+	m      *CSR
+	dst, x *tensor.Mat[T]
+	bands  []int32
+	cursor atomic.Int64
+	wg     sync.WaitGroup
+}
+
+var bandRuns64, bandRuns32 sync.Pool
+
+// work multiplies bands until none are left.
+func (b *bandRun[T]) work() {
+	for {
+		i := int(b.cursor.Add(1)) - 1
+		if i >= len(b.bands)-1 {
+			return
+		}
+		mulRows(b.m, b.dst, b.x, nil, int(b.bands[i]), int(b.bands[i+1]))
+	}
+}
+
+// help is work run by a helper, which then reports back.
+func (b *bandRun[T]) help() {
+	b.work()
+	b.wg.Done()
+}
+
+// is32 reports whether T is float32.
+func is32[T tensor.Float]() bool {
+	_, ok := any(*new(T)).(float32)
+	return ok
+}
+
+// MulDenseParallel is Mul in float64.
+func (m *CSR) MulDenseParallel(dst, x *tensor.Dense, workers int) { Mul(m, dst, x, workers) }
 
 // MulDenseTrans computes dst = mᵀ·x; dst must be NumCols×x.Cols. Used by
 // backpropagation (∂L/∂E_{d-1} includes Aᵀ·δ).

@@ -1,88 +1,18 @@
 package sparse
 
-import (
-	"sync"
-	"sync/atomic"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Float32 SpMM kernels for the f32 inference mode (see DESIGN.md
-// decision 10). The adjacency values stay stored in float64 — the CSR
-// is shared with the exact float64 path — and are narrowed on the fly;
-// the dense operand and destination are float32, which is where the
-// memory-traffic win lives (the dense activations dwarf the adjacency
-// values in bytes moved per multiply).
+// Float32 names for the f32 inference mode (see DESIGN.md decision 10):
+// one-line instantiations of the generic kernels in sparse.go. The
+// adjacency values stay stored in float64 — the CSR is shared with the
+// exact float64 path — and are narrowed on the fly; the dense operand and
+// destination are float32, which is where the memory-traffic win lives.
 
 // MulDense32 computes dst = m·x in float32; dst must be NumRows×x.Cols.
-func (m *CSR) MulDense32(dst, x *tensor.Dense32) {
-	if x.Rows != m.NumCols || dst.Rows != m.NumRows || dst.Cols != x.Cols {
-		panic("sparse: CSR MulDense32 shape mismatch")
-	}
-	spmmF32Calls.Inc()
-	spmmCalls.Inc()
-	spmmRows.Add(int64(m.NumRows))
-	m.mulRows32(dst, x, 0, m.NumRows)
-}
+func (m *CSR) MulDense32(dst, x *tensor.Dense32) { Mul(m, dst, x, 1) }
 
-func (m *CSR) mulRows32(dst, x *tensor.Dense32, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		drow := dst.Row(r)
-		for j := range drow {
-			drow[j] = 0
-		}
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v := float32(m.Vals[p])
-			xrow := x.Row(int(m.ColIdx[p]))
-			for j, xv := range xrow {
-				drow[j] += v * xv
-			}
-		}
-	}
-}
-
-// MulDense32Parallel is MulDense32 with the same clamped-worker,
-// nnz-balanced band scheduler as MulDenseParallel.
-func (m *CSR) MulDense32Parallel(dst, x *tensor.Dense32, workers int) {
-	if x.Rows != m.NumCols || dst.Rows != m.NumRows || dst.Cols != x.Cols {
-		panic("sparse: CSR MulDense32Parallel shape mismatch")
-	}
-	spmmF32Calls.Inc()
-	spmmCalls.Inc()
-	spmmRows.Add(int64(m.NumRows))
-	workers = clampWorkers(workers)
-	if workers == 1 || m.NumRows < 2*workers {
-		m.mulRows32(dst, x, 0, m.NumRows)
-		return
-	}
-	spmmParallelCalls.Inc()
-	bands := nnzBands(m.RowPtr, workers*bandsPerWorker)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(bands)-1 {
-					return
-				}
-				m.mulRows32(dst, x, int(bands[i]), int(bands[i+1]))
-			}
-		}()
-	}
-	wg.Wait()
-}
+// MulDense32Parallel is Mul in float32.
+func (m *CSR) MulDense32Parallel(dst, x *tensor.Dense32, workers int) { Mul(m, dst, x, workers) }
 
 // ToDense32 materializes the matrix in float32; for tests.
-func (m *CSR) ToDense32() *tensor.Dense32 {
-	d := tensor.NewDense32(m.NumRows, m.NumCols)
-	for r := 0; r < m.NumRows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			c := int(m.ColIdx[p])
-			d.Set(r, c, d.At(r, c)+float32(m.Vals[p]))
-		}
-	}
-	return d
-}
+func (m *CSR) ToDense32() *tensor.Dense32 { return tensor.FromDense(m.ToDense()) }

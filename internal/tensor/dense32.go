@@ -1,167 +1,22 @@
 package tensor
 
-import "fmt"
-
-// Dense32 is a row-major float32 matrix — the storage for the float32
-// inference mode. Inference-only: training and gradient checking stay in
-// float64 (Dense), and trained weights are converted once via
-// FromDense. Halving the element size halves the memory traffic of the
-// SpMM and encoder matmuls that dominate a forward pass, which is where
-// the paper's GPU kernels get much of their throughput too.
-type Dense32 struct {
-	// Rows and Cols are the matrix dimensions.
-	Rows, Cols int
-	// Data is the row-major backing array of length Rows*Cols.
-	Data []float32
-}
+// Dense32 is the float32 matrix of the narrow inference mode (DESIGN.md
+// decision 10). Training and gradient checking stay in float64 (Dense);
+// trained weights are narrowed once via FromDense. Halving the element
+// size halves the memory traffic of the SpMM and encoder matmuls that
+// dominate a forward pass. The names below are the float32
+// instantiations of the generic kernels, kept so callers read naturally.
+type Dense32 = Mat[float32]
 
 // NewDense32 allocates a zeroed Rows×Cols float32 matrix.
-func NewDense32(rows, cols int) *Dense32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %d×%d", rows, cols))
-	}
-	return &Dense32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
+func NewDense32(rows, cols int) *Dense32 { return New[float32](rows, cols) }
 
-// FromDense converts a float64 matrix to float32, rounding every
-// element once. This is the weights-conversion entry point for the f32
-// inference mode.
-func FromDense(d *Dense) *Dense32 {
-	c := NewDense32(d.Rows, d.Cols)
-	for i, v := range d.Data {
-		c.Data[i] = float32(v)
-	}
-	return c
-}
+// FromDense narrows a float64 matrix to float32, rounding every element
+// once.
+func FromDense(d *Dense) *Dense32 { return Convert[float32](d) }
 
-// ToDense widens back to float64 (exact: every float32 is representable).
-func (d *Dense32) ToDense() *Dense {
-	c := NewDense(d.Rows, d.Cols)
-	for i, v := range d.Data {
-		c.Data[i] = float64(v)
-	}
-	return c
-}
+// MatMul32 computes dst = a·b in float32 (see MatMul).
+func MatMul32(dst, a, b *Dense32) { MatMul(dst, a, b) }
 
-// At returns element (i,j).
-func (d *Dense32) At(i, j int) float32 { return d.Data[i*d.Cols+j] }
-
-// Set assigns element (i,j).
-func (d *Dense32) Set(i, j int, v float32) { d.Data[i*d.Cols+j] = v }
-
-// Row returns a mutable view of row i.
-func (d *Dense32) Row(i int) []float32 { return d.Data[i*d.Cols : (i+1)*d.Cols] }
-
-// Zero sets every element to 0.
-func (d *Dense32) Zero() {
-	for i := range d.Data {
-		d.Data[i] = 0
-	}
-}
-
-// CopyFrom copies src into d; shapes must match.
-func (d *Dense32) CopyFrom(src *Dense32) {
-	if d.Rows != src.Rows || d.Cols != src.Cols {
-		panic("tensor: Dense32 CopyFrom shape mismatch")
-	}
-	copy(d.Data, src.Data)
-}
-
-// CopyFromDense narrows a float64 matrix into d; shapes must match.
-func (d *Dense32) CopyFromDense(src *Dense) {
-	if d.Rows != src.Rows || d.Cols != src.Cols {
-		panic("tensor: Dense32 CopyFromDense shape mismatch")
-	}
-	for i, v := range src.Data {
-		d.Data[i] = float32(v)
-	}
-}
-
-// AxpyInPlace adds alpha*o elementwise into d.
-func (d *Dense32) AxpyInPlace(alpha float32, o *Dense32) {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		panic("tensor: Dense32 AxpyInPlace shape mismatch")
-	}
-	for i, v := range o.Data {
-		d.Data[i] += alpha * v
-	}
-}
-
-// AddRowVector adds vector v to every row of d (bias addition).
-func (d *Dense32) AddRowVector(v []float32) {
-	if len(v) != d.Cols {
-		panic("tensor: Dense32 AddRowVector length mismatch")
-	}
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-}
-
-// ReLUInPlace applies max(x,0) elementwise.
-func (d *Dense32) ReLUInPlace() {
-	for i, v := range d.Data {
-		if v < 0 {
-			d.Data[i] = 0
-		}
-	}
-}
-
-// MatMul32 computes dst = a·b in float32. dst must be a.Rows×b.Cols and
-// distinct from both operands. Same cache-friendly ikj ordering and
-// zero-skip as the float64 MatMul — post-ReLU activations are sparse,
-// and skipping their zero rows is a large fraction of the win in both
-// precisions.
-func MatMul32(dst, a, b *Dense32) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul32 shape mismatch (%d×%d)·(%d×%d)->(%d×%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		first := true
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			if first {
-				for j, bv := range brow {
-					crow[j] = av * bv
-				}
-				first = false
-				continue
-			}
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-		if first {
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
-}
-
-// MaxAbsDiff32 returns the largest absolute elementwise difference
-// between a float32 matrix and a float64 reference of the same shape.
-func MaxAbsDiff32(a *Dense32, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("tensor: MaxAbsDiff32 shape mismatch")
-	}
-	var m float64
-	for i, v := range a.Data {
-		d := float64(v) - b.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
+// MaxAbsDiff32 compares a float32 matrix against a float64 reference.
+func MaxAbsDiff32(a *Dense32, b *Dense) float64 { return MaxAbsDiff(a, b) }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -14,8 +15,8 @@ import (
 // buffer released at one shape is reusable at any smaller shape, and
 // growth pays at most one reallocation per doubling.
 //
-// Contract: Get* returns a matrix whose contents are UNSPECIFIED — call
-// Zero (or fully overwrite) before reading. Put* transfers ownership
+// Contract: Get returns a matrix whose contents are UNSPECIFIED — call
+// Zero (or fully overwrite) before reading. Put transfers ownership
 // back; the caller must not retain the matrix or views of its Data.
 // All functions are safe for concurrent use (sync.Pool-backed).
 
@@ -30,10 +31,17 @@ var (
 // buffer (≈1 GiB of float64), far above any graph this repo handles.
 const poolClasses = 28
 
-var (
-	densePools   [poolClasses]sync.Pool
-	dense32Pools [poolClasses]sync.Pool
-)
+// One set of size classes per precision: a pooled float64 buffer is
+// never handed out as float32 storage or vice versa.
+var densePools, dense32Pools [poolClasses]sync.Pool
+
+func pools[T Float]() *[poolClasses]sync.Pool {
+	var zero T
+	if _, ok := any(zero).(float32); ok {
+		return &dense32Pools
+	}
+	return &densePools
+}
 
 // sizeClass returns the smallest c with 1<<c >= n.
 func sizeClass(n int) int {
@@ -43,30 +51,30 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// GetDense returns a rows×cols float64 matrix backed by pooled storage.
-// Contents are unspecified. Release with PutDense.
-func GetDense(rows, cols int) *Dense {
+// Get returns a rows×cols matrix backed by pooled storage. Contents are
+// unspecified. Release with Put.
+func Get[T Float](rows, cols int) *Mat[T] {
 	poolGets.Inc()
 	n := rows * cols
 	c := sizeClass(n)
 	if c >= poolClasses {
 		poolMisses.Inc()
-		return NewDense(rows, cols)
+		return New[T](rows, cols)
 	}
-	d, _ := densePools[c].Get().(*Dense)
+	d, _ := pools[T]()[c].Get().(*Mat[T])
 	if d == nil {
 		poolMisses.Inc()
-		d = &Dense{Data: make([]float64, 1<<c)}
+		d = &Mat[T]{Data: make([]T, 1<<c)}
 	}
 	d.Rows, d.Cols = rows, cols
 	d.Data = d.Data[:n]
 	return d
 }
 
-// PutDense returns a matrix obtained from GetDense to the pool.
-// Matrices allocated elsewhere are accepted too (their capacity decides
-// the class). nil and zero-capacity matrices are ignored.
-func PutDense(d *Dense) {
+// Put returns a matrix obtained from Get to the pool. Matrices allocated
+// elsewhere are accepted too (their capacity decides the class). nil and
+// zero-capacity matrices are ignored.
+func Put[T Float](d *Mat[T]) {
 	if d == nil || cap(d.Data) == 0 {
 		return
 	}
@@ -79,41 +87,127 @@ func PutDense(d *Dense) {
 	poolPuts.Inc()
 	d.Data = d.Data[:cap(d.Data)]
 	d.Rows, d.Cols = 0, 0
-	densePools[c].Put(d)
+	pools[T]()[c].Put(d)
 }
 
-// GetDense32 returns a rows×cols float32 matrix backed by pooled
-// storage. Contents are unspecified. Release with PutDense32.
-func GetDense32(rows, cols int) *Dense32 {
+// GetDense is Get for float64.
+func GetDense(rows, cols int) *Dense { return Get[float64](rows, cols) }
+
+// PutDense is Put for float64.
+func PutDense(d *Dense) { Put(d) }
+
+// GetDense32 is Get for float32.
+func GetDense32(rows, cols int) *Dense32 { return Get[float32](rows, cols) }
+
+// PutDense32 is Put for float32.
+func PutDense32(d *Dense32) { Put(d) }
+
+// Scratch is one whole-graph pass's set of scratch matrices. The shared
+// pool above suits the small, frequent, concurrent requests of the
+// incremental loop. A whole-graph pass instead needs a handful of N-row
+// buffers, and a sync.Pool keeps whatever it holds reachable through the
+// next collection: how much of that scratch the heap carried at a GC, and
+// so the GC's next heap goal, would hinge on when the collection ran. A
+// Scratch keeps exactly the buffers its last pass used, allocated with
+// 1/8 headroom so a slightly larger graph still fits, and
+// AcquireScratch/Release hand one retained set from pass to pass. A pass
+// that finds the set taken by a concurrent one gets an empty set of its
+// own.
+//
+// Get and Put follow the shared pool's contract. A Scratch is not safe
+// for concurrent use; the nil *Scratch is the shared pool.
+type Scratch[T Float] struct {
+	idle []*Mat[T]    // the last pass's buffers, not yet lent in this one
+	back []*Mat[T]    // buffers returned in this pass
+	held atomic.Int64 // elements retained by the last Release
+}
+
+// One retained set per precision.
+var (
+	retained64 atomic.Pointer[Scratch[float64]]
+	retained32 atomic.Pointer[Scratch[float32]]
+)
+
+func retained[T Float]() *atomic.Pointer[Scratch[T]] {
+	var zero T
+	if _, ok := any(zero).(float32); ok {
+		return any(&retained32).(*atomic.Pointer[Scratch[T]])
+	}
+	return any(&retained64).(*atomic.Pointer[Scratch[T]])
+}
+
+// AcquireScratch returns the retained set, or an empty one while another
+// pass holds it. Call Release when the pass is done.
+func AcquireScratch[T Float]() *Scratch[T] {
+	if s := retained[T]().Swap(nil); s != nil {
+		return s
+	}
+	return new(Scratch[T])
+}
+
+// Release ends the pass: buffers it did not use are dropped, and the set
+// is retained for the next AcquireScratch unless a larger one already is.
+func (s *Scratch[T]) Release() {
+	clear(s.idle)
+	s.idle, s.back = s.back, s.idle[:0]
+	var held int64
+	for _, d := range s.idle {
+		held += int64(cap(d.Data))
+	}
+	s.held.Store(held)
+	p := retained[T]()
+	for {
+		old := p.Load()
+		if old != nil && old.held.Load() >= held {
+			return
+		}
+		if p.CompareAndSwap(old, s) {
+			return
+		}
+	}
+}
+
+// Get returns a rows×cols matrix backed by the smallest free buffer that
+// fits, allocating one when none does. Contents are unspecified.
+func (s *Scratch[T]) Get(rows, cols int) *Mat[T] {
+	if s == nil {
+		return Get[T](rows, cols)
+	}
 	poolGets.Inc()
 	n := rows * cols
-	c := sizeClass(n)
-	if c >= poolClasses {
-		poolMisses.Inc()
-		return NewDense32(rows, cols)
+	var list *[]*Mat[T]
+	best := -1
+	for _, l := range [...]*[]*Mat[T]{&s.back, &s.idle} {
+		for i, d := range *l {
+			if c := cap(d.Data); c >= n && (best < 0 || c < cap((*list)[best].Data)) {
+				list, best = l, i
+			}
+		}
 	}
-	d, _ := dense32Pools[c].Get().(*Dense32)
-	if d == nil {
+	var d *Mat[T]
+	if best < 0 {
 		poolMisses.Inc()
-		d = &Dense32{Data: make([]float32, 1<<c)}
+		d = &Mat[T]{Data: make([]T, n, n+n/8)}
+	} else {
+		l := *list
+		d = l[best]
+		l[best] = l[len(l)-1]
+		l[len(l)-1] = nil
+		*list = l[:len(l)-1]
 	}
-	d.Rows, d.Cols = rows, cols
-	d.Data = d.Data[:n]
+	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:n]
 	return d
 }
 
-// PutDense32 returns a matrix obtained from GetDense32 to the pool. nil
-// and zero-capacity matrices are ignored.
-func PutDense32(d *Dense32) {
+// Put returns a matrix obtained from s.Get to the set.
+func (s *Scratch[T]) Put(d *Mat[T]) {
+	if s == nil {
+		Put(d)
+		return
+	}
 	if d == nil || cap(d.Data) == 0 {
 		return
 	}
-	c := bits.Len(uint(cap(d.Data))) - 1
-	if c >= poolClasses {
-		return
-	}
 	poolPuts.Inc()
-	d.Data = d.Data[:cap(d.Data)]
-	d.Rows, d.Cols = 0, 0
-	dense32Pools[c].Put(d)
+	s.back = append(s.back, d)
 }

@@ -1,7 +1,15 @@
 // Package tensor provides the dense linear algebra needed by the neural
-// network layers: row-major float64 matrices with cache-friendly matrix
+// network layers: row-major matrices with cache-friendly matrix
 // multiplication (including the transposed variants used by
 // backpropagation) and elementwise kernels.
+//
+// The matrix type is generic over its element precision. Dense
+// (float64) carries training, gradient checking and exact inference;
+// Dense32 (float32) is the narrow inference mode. Both are
+// instantiations of the one Mat type, so every kernel below has a
+// single body; the compiler stencils a separate copy per precision
+// (float32 and float64 have different GC shapes), so the inner loops
+// carry no generic dictionary cost.
 //
 // It replaces the GPU BLAS the paper relies on. Everything here is exact
 // and deterministic, which keeps gradient checking and property-based
@@ -14,22 +22,34 @@ import (
 	"math/rand"
 )
 
-// Dense is a row-major matrix. Data has length Rows*Cols and element
+// Float is the element constraint of Mat: the two precisions the
+// repository computes in.
+type Float interface {
+	float32 | float64
+}
+
+// Mat is a row-major matrix. Data has length Rows*Cols and element
 // (i,j) lives at Data[i*Cols+j].
-type Dense struct {
+type Mat[T Float] struct {
 	// Rows and Cols are the matrix dimensions.
 	Rows, Cols int
 	// Data is the row-major backing array of length Rows*Cols.
-	Data []float64
+	Data []T
 }
 
-// NewDense allocates a zeroed Rows×Cols matrix.
-func NewDense(rows, cols int) *Dense {
+// Dense is the float64 matrix used by training and exact inference.
+type Dense = Mat[float64]
+
+// New allocates a zeroed Rows×Cols matrix.
+func New[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %d×%d", rows, cols))
 	}
-	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewDense allocates a zeroed Rows×Cols float64 matrix.
+func NewDense(rows, cols int) *Dense { return New[float64](rows, cols) }
 
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Dense {
@@ -46,70 +66,92 @@ func FromRows(rows [][]float64) *Dense {
 	return d
 }
 
+// Convert returns src rounded (or widened) element by element into a
+// new matrix of precision D.
+func Convert[D, S Float](src *Mat[S]) *Mat[D] {
+	d := New[D](src.Rows, src.Cols)
+	ConvertInto(d, src)
+	return d
+}
+
+// ConvertInto writes src, element by element converted to precision D,
+// into dst; shapes must match.
+func ConvertInto[D, S Float](dst *Mat[D], src *Mat[S]) {
+	mustSameShape("Convert", dst.Rows, dst.Cols, src.Rows, src.Cols)
+	for i, v := range src.Data {
+		dst.Data[i] = D(v)
+	}
+}
+
+func mustSameShape(op string, r1, c1, r2, c2 int) {
+	if r1 != r2 || c1 != c2 {
+		panic("tensor: " + op + " shape mismatch")
+	}
+}
+
 // At returns element (i,j).
-func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
+func (d *Mat[T]) At(i, j int) T { return d.Data[i*d.Cols+j] }
 
 // Set assigns element (i,j).
-func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
+func (d *Mat[T]) Set(i, j int, v T) { d.Data[i*d.Cols+j] = v }
 
 // Row returns a mutable view of row i.
-func (d *Dense) Row(i int) []float64 { return d.Data[i*d.Cols : (i+1)*d.Cols] }
+func (d *Mat[T]) Row(i int) []T { return d.Data[i*d.Cols : (i+1)*d.Cols] }
 
 // Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	c := NewDense(d.Rows, d.Cols)
+func (d *Mat[T]) Clone() *Mat[T] {
+	c := New[T](d.Rows, d.Cols)
 	copy(c.Data, d.Data)
 	return c
 }
 
+// ToDense widens (or copies) the matrix into a new float64 matrix; the
+// widening from float32 is exact.
+func (d *Mat[T]) ToDense() *Dense { return Convert[float64](d) }
+
+// CopyFromDense converts a float64 matrix into d; shapes must match.
+func (d *Mat[T]) CopyFromDense(src *Dense) { ConvertInto(d, src) }
+
 // Zero sets every element to 0.
-func (d *Dense) Zero() {
+func (d *Mat[T]) Zero() {
 	for i := range d.Data {
 		d.Data[i] = 0
 	}
 }
 
 // CopyFrom copies src into d; shapes must match.
-func (d *Dense) CopyFrom(src *Dense) {
-	if d.Rows != src.Rows || d.Cols != src.Cols {
-		panic("tensor: CopyFrom shape mismatch")
-	}
+func (d *Mat[T]) CopyFrom(src *Mat[T]) {
+	mustSameShape("CopyFrom", d.Rows, d.Cols, src.Rows, src.Cols)
 	copy(d.Data, src.Data)
 }
 
 // AddInPlace adds o elementwise into d.
-func (d *Dense) AddInPlace(o *Dense) {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		panic("tensor: AddInPlace shape mismatch")
-	}
+func (d *Mat[T]) AddInPlace(o *Mat[T]) {
+	mustSameShape("AddInPlace", d.Rows, d.Cols, o.Rows, o.Cols)
 	for i, v := range o.Data {
 		d.Data[i] += v
 	}
 }
 
 // AxpyInPlace adds alpha*o elementwise into d.
-func (d *Dense) AxpyInPlace(alpha float64, o *Dense) {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		panic("tensor: AxpyInPlace shape mismatch")
-	}
+func (d *Mat[T]) AxpyInPlace(alpha T, o *Mat[T]) {
+	mustSameShape("AxpyInPlace", d.Rows, d.Cols, o.Rows, o.Cols)
 	for i, v := range o.Data {
 		d.Data[i] += alpha * v
 	}
 }
 
 // Scale multiplies every element by alpha.
-func (d *Dense) Scale(alpha float64) {
+func (d *Mat[T]) Scale(alpha T) {
 	for i := range d.Data {
 		d.Data[i] *= alpha
 	}
 }
 
 // Dot returns the Frobenius inner product <d, o>.
-func (d *Dense) Dot(o *Dense) float64 {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		panic("tensor: Dot shape mismatch")
-	}
-	var s float64
+func (d *Mat[T]) Dot(o *Mat[T]) T {
+	mustSameShape("Dot", d.Rows, d.Cols, o.Rows, o.Cols)
+	var s T
 	for i, v := range d.Data {
 		s += v * o.Data[i]
 	}
@@ -117,8 +159,10 @@ func (d *Dense) Dot(o *Dense) float64 {
 }
 
 // MatMul computes dst = a·b. dst must be a.Rows×b.Cols and distinct from
-// both operands. The kernel is the cache-friendly ikj ordering.
-func MatMul(dst, a, b *Dense) {
+// both operands. The kernel is the cache-friendly ikj ordering; zero
+// entries of a are skipped, which matters because post-ReLU activations
+// are sparse.
+func MatMul[T Float](dst, a, b *Mat[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%d×%d)·(%d×%d)->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
@@ -139,8 +183,22 @@ func MatMul(dst, a, b *Dense) {
 				first = false
 				continue
 			}
-			for j, bv := range brow {
-				crow[j] += av * bv
+			// Four columns per iteration: each crow[j] still gets exactly
+			// one multiply-add per k, in k order, so the result is the
+			// same as the one-column loop; the unroll only makes the loop's
+			// speed independent of where the linker places it (a
+			// one-column loop straddling a 64-byte line ran up to 45%
+			// slower in some builds).
+			j := 0
+			for ; j+4 <= len(brow); j += 4 {
+				c, bv := crow[j:j+4:j+4], brow[j:j+4:j+4]
+				c[0] += av * bv[0]
+				c[1] += av * bv[1]
+				c[2] += av * bv[2]
+				c[3] += av * bv[3]
+			}
+			for ; j < len(brow); j++ {
+				crow[j] += av * brow[j]
 			}
 		}
 		if first {
@@ -192,7 +250,7 @@ func MatMulTransA(dst, a, b *Dense) {
 }
 
 // AddRowVector adds vector v to every row of d (bias addition).
-func (d *Dense) AddRowVector(v []float64) {
+func (d *Mat[T]) AddRowVector(v []T) {
 	if len(v) != d.Cols {
 		panic("tensor: AddRowVector length mismatch")
 	}
@@ -205,7 +263,7 @@ func (d *Dense) AddRowVector(v []float64) {
 }
 
 // ReLUInPlace applies max(x,0) elementwise.
-func (d *Dense) ReLUInPlace() {
+func (d *Mat[T]) ReLUInPlace() {
 	for i, v := range d.Data {
 		if v < 0 {
 			d.Data[i] = 0
@@ -228,18 +286,18 @@ func ReLUBackwardInPlace(grad, out *Dense) {
 
 // SoftmaxRowsInPlace turns every row into a softmax distribution using
 // the max-subtraction trick for numerical stability.
-func (d *Dense) SoftmaxRowsInPlace() {
+func (d *Mat[T]) SoftmaxRowsInPlace() {
 	for i := 0; i < d.Rows; i++ {
 		row := d.Row(i)
-		max := math.Inf(-1)
+		max := T(math.Inf(-1))
 		for _, v := range row {
 			if v > max {
 				max = v
 			}
 		}
-		var sum float64
+		var sum T
 		for j, v := range row {
-			e := math.Exp(v - max)
+			e := T(math.Exp(float64(v - max)))
 			row[j] = e
 			sum += e
 		}
@@ -251,11 +309,11 @@ func (d *Dense) SoftmaxRowsInPlace() {
 }
 
 // ArgmaxRows returns the index of the maximum element in every row.
-func (d *Dense) ArgmaxRows() []int {
+func (d *Mat[T]) ArgmaxRows() []int {
 	out := make([]int, d.Rows)
 	for i := 0; i < d.Rows; i++ {
 		row := d.Row(i)
-		best, bi := math.Inf(-1), 0
+		best, bi := T(math.Inf(-1)), 0
 		for j, v := range row {
 			if v > best {
 				best, bi = v, j
@@ -268,22 +326,21 @@ func (d *Dense) ArgmaxRows() []int {
 
 // XavierInit fills d with Glorot-uniform values scaled by fan-in/fan-out,
 // drawing from rng for determinism.
-func (d *Dense) XavierInit(rng *rand.Rand) {
+func (d *Mat[T]) XavierInit(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(d.Rows+d.Cols))
 	for i := range d.Data {
-		d.Data[i] = (rng.Float64()*2 - 1) * limit
+		d.Data[i] = T((rng.Float64()*2 - 1) * limit)
 	}
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between
-// two equally shaped matrices; used heavily in tests.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("tensor: MaxAbsDiff shape mismatch")
-	}
+// two equally shaped matrices, evaluated in float64 (so a float32 result
+// can be compared against a float64 reference); used heavily in tests.
+func MaxAbsDiff[A, B Float](a *Mat[A], b *Mat[B]) float64 {
+	mustSameShape("MaxAbsDiff", a.Rows, a.Cols, b.Rows, b.Cols)
 	var m float64
 	for i, v := range a.Data {
-		d := math.Abs(v - b.Data[i])
+		d := math.Abs(float64(v) - float64(b.Data[i]))
 		if d > m {
 			m = d
 		}

@@ -32,9 +32,10 @@
 #      coarsen.* / spmm.* / pool.* metric key registered in non-test Go
 #      sources appears in docs/OBSERVABILITY.md
 #  10. bench artifact completeness: the newest committed BENCH_NNNN.json
-#      contains at least one result row recorded at gomaxprocs > 1, so
-#      the worker-scaling matrix can never silently degrade to an
-#      all-single-core recording
+#      contains at least one result row recorded at 1 < gomaxprocs <=
+#      the artifact's num_cpu, so the worker-scaling matrix can never
+#      silently degrade to an all-single-core recording, nor pass off
+#      time-slicing on fewer cores as parallelism
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -156,15 +157,21 @@ else
     echo "(fewer than two BENCH_*.json artifacts; skipping)"
 fi
 
-echo "== bench artifact multi-core matrix (gomaxprocs > 1 row present)"
+echo "== bench artifact multi-core matrix (a row with 1 < gomaxprocs <= num_cpu)"
 newest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1)
 if [ -n "$newest" ]; then
-    if ! grep -qE '"gomaxprocs": *([2-9]|[1-9][0-9]+)' "$newest"; then
-        echo "newest bench artifact $newest has no result row recorded at gomaxprocs > 1;" >&2
-        echo "re-record with cmd/benchjson (its workers matrix raises GOMAXPROCS per variant)" >&2
+    # Only result rows count, not the header's process-start value.
+    real=$(awk '
+        /"num_cpu":/ { gsub(/[^0-9]/, ""); ncpu = $0 + 0 }
+        /"benchmarks":/ { rows = 1 }
+        rows && /"gomaxprocs":/ { gsub(/[^0-9]/, ""); p = $0 + 0; if (p > 1 && p <= ncpu) n++ }
+        END { print n + 0 }' "$newest")
+    if [ "$real" -eq 0 ]; then
+        echo "newest bench artifact $newest has no result row recorded at 1 < gomaxprocs <= num_cpu;" >&2
+        echo "re-record with cmd/benchjson on a multi-core host" >&2
         exit 1
     fi
-    echo "   $newest contains multi-core result rows"
+    echo "   $newest contains $real multi-core result rows"
 else
     echo "(no BENCH_*.json artifacts; skipping)"
 fi
