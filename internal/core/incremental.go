@@ -44,7 +44,7 @@ type IncrementalPredictor interface {
 // IncrementalState caches per-layer embeddings and output probabilities
 // for incremental updates. It is tied to the (model, graph) pair that
 // produced it, and holds exactly E_0 … E_D, the logits and the
-// probabilities; an update's gather/forward buffers are pooled scratch.
+// probabilities; an update's per-tile buffers are pooled scratch.
 // The frontier is tracked with an epoch-stamped mark array instead of
 // per-update maps, so repeated updates stay allocation-light.
 type IncrementalState struct {
@@ -70,6 +70,14 @@ func NewIncrementalState(embeds []*tensor.Dense, logits *tensor.Dense) *Incremen
 	}
 	return &IncrementalState{embeds: embeds, logits: logits, Probs: probs(logits)}
 }
+
+// Embeddings returns the cached per-layer embeddings E_0 … E_D. They are
+// owned by the state and refreshed in place by updates; treat them as
+// read-only.
+func (st *IncrementalState) Embeddings() []*tensor.Dense { return st.embeds }
+
+// Logits returns the cached logits, owned by the state like Embeddings.
+func (st *IncrementalState) Logits() *tensor.Dense { return st.logits }
 
 // RunFromState wraps an externally assembled state into the same
 // incremental session NewIncremental returns; the state must have been
@@ -155,23 +163,25 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		return nil
 	}
 
-	// Each layer's frontier is processed as one batched matrix: aggregate
-	// gathers the frontier's aggregates into a k×cols block, one encoder
-	// forward runs over it, and the rows are scattered back into the
-	// cache. Per row the kernels accumulate in the same order as the
-	// whole-graph pass, so batching is bit-identical; it just replaces k
-	// tiny MatMuls with one.
-	w := newWeights[float64](m)
-	for d := range w.enc {
+	// Each layer's frontier runs through the same tiled pass as a
+	// whole-graph forward, over the frontier rows instead of all rows:
+	// each tile gathers its aggregates, runs the encoder and scatters the
+	// rows back into the cache, and the last layer's tiles run the FC head
+	// and refresh the logits and probabilities. Per row the kernels
+	// accumulate in the same order as the whole-graph pass, so the update
+	// is bit-identical to it.
+	p := newPass(newWeights[float64](m), g)
+	defer p.release()
+	p.logits, p.probs = st.logits, st.Probs
+	for d := range m.Enc {
 		// A node's E_{d+1} depends on its own and its neighbors' E_d, so
 		// the affected set grows by one hop per layer.
 		st.epoch++
 		next = next[:0]
 		for _, v := range nodes {
 			// v may already be in next as a neighbor of an earlier node;
-			// the mark check keeps the frontier duplicate-free (the FC
-			// head's skip-gather fast path relies on len(affected) == N
-			// implying affected is exactly the identity permutation).
+			// the mark check keeps the frontier duplicate-free, so no two
+			// tiles write the same row.
 			if st.mark[v] != st.epoch {
 				st.mark[v] = st.epoch
 				next = append(next, v)
@@ -191,45 +201,10 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		}
 		nodes, next = next, nodes
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-		prev, cur := st.embeds[d], st.embeds[d+1]
-		pe := tensor.GetDense(len(nodes), prev.Cols)
-		agg := tensor.GetDense(len(nodes), prev.Cols)
-		aggregate(g, w, prev, nodes, pe, pe, agg)
-		tensor.PutDense(pe)
-		out := tensor.GetDense(len(nodes), cur.Cols)
-		w.enc[d].apply(out, agg, true)
-		tensor.PutDense(agg)
-		for i, v := range nodes {
-			copy(cur.Row(int(v)), out.Row(i))
-		}
-		tensor.PutDense(out)
+		p.rows, p.n = nodes, len(nodes)
+		p.layer(d, st.embeds[d], st.embeds[d+1])
 	}
-
-	// Classifier head over the final frontier rows only, again as one
-	// batched forward instead of one per node.
-	affected := nodes
-	last := st.embeds[len(st.embeds)-1]
-	in := last
-	if len(affected) < last.Rows {
-		in = tensor.GetDense(len(affected), last.Cols)
-		for i, v := range affected {
-			copy(in.Row(i), last.Row(int(v)))
-		}
-	}
-	logits := tensor.GetDense(len(affected), st.logits.Cols)
-	w.head(nil, logits, in, in != last)
-	for i, v := range affected {
-		copy(st.logits.Row(int(v)), logits.Row(i))
-	}
-	// The same softmax as probs, in place on the pooled batch once its
-	// logits are saved.
-	logits.SoftmaxRowsInPlace()
-	for i, v := range affected {
-		st.Probs[v] = logits.At(i, 1)
-	}
-	tensor.PutDense(logits)
-	return affected
+	return nodes
 }
 
 // growRows extends a cached matrix to cover appended nodes. The flow

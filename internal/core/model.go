@@ -211,7 +211,7 @@ func (m *Model) forward(g *Graph) (*tensor.Dense, *forwardCache) {
 		se := tensor.NewDense(g.N, cur.Cols)
 		agg := tensor.NewDense(g.N, cur.Cols)
 		next := tensor.NewDense(g.N, l.W.Cols)
-		aggregate(g, w, cur, nil, pe, se, agg)
+		aggregate(g, w, cur, pe, se, agg)
 		l.apply(next, agg, true)
 		cache.pe = append(cache.pe, pe)
 		cache.se = append(cache.se, se)

@@ -18,15 +18,13 @@
 package opi
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/scoap"
 )
 
@@ -231,41 +229,18 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 // a single funnel is not observed at every node simultaneously.
 //
 // The per-positive fan-in-cone BFS is the flow's second hot spot once
-// inference runs incrementally, so the cones are extracted across a
-// worker pool (FaninCone only reads immutable netlist structure, never
-// the lazy caches, so concurrent traversals are safe).
+// inference runs incrementally, so the cones are extracted on the shared
+// par helpers (FaninCone only reads immutable netlist structure, never
+// the lazy caches, so concurrent traversals are safe). Each cone depends
+// only on its node, so the ranking does not depend on the worker count.
 func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig) []int32 {
 	nodes := make([]int32, 0, len(positives))
 	for v := range positives {
 		nodes = append(nodes, v)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	cones := make([][]int32, len(nodes))
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(nodes) > 1 {
-		if workers > len(nodes) {
-			workers = len(nodes)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(nodes) {
-						return
-					}
-					cones[i] = n.FaninCone(nodes[i], cfg.ConeLimit)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, v := range nodes {
-			cones[i] = n.FaninCone(v, cfg.ConeLimit)
-		}
-	}
+	cones := &coneJob{n: n, nodes: nodes, limit: cfg.ConeLimit, cones: make([][]int32, len(nodes))}
+	par.For(0, len(nodes), cones)
 
 	type scored struct {
 		node   int32
@@ -275,12 +250,12 @@ func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig
 	ranked := make([]scored, 0, len(nodes))
 	for i, v := range nodes {
 		impact := 1
-		for _, u := range cones[i] {
+		for _, u := range cones.cones[i] {
 			if positives[u] {
 				impact++
 			}
 		}
-		ranked = append(ranked, scored{v, cones[i], impact})
+		ranked = append(ranked, scored{v, cones.cones[i], impact})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].impact != ranked[j].impact {
@@ -304,6 +279,16 @@ func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig
 	}
 	return selected
 }
+
+// coneJob extracts the fan-in cone of every listed node.
+type coneJob struct {
+	n     *netlist.Netlist
+	nodes []int32
+	limit int
+	cones [][]int32
+}
+
+func (j *coneJob) Do(i int) { j.cones[i] = j.n.FaninCone(j.nodes[i], j.limit) }
 
 // InsertAndRefresh performs one observation point insertion with all
 // incremental updates: netlist node+edge, SCOAP fan-in-cone relaxation,

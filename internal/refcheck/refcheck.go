@@ -16,6 +16,9 @@
 //     detection criterion (fault.ExactDetectMask);
 //   - refmat.go multiplies matrices with dense triple loops, checking
 //     the COO/CSR/parallel sparse kernels and their transposes;
+//   - refforward.go recomputes the model's inference forward densely,
+//     as A·(X·W)+b with COO scatter and triple-loop matmuls, checking
+//     the tiled inference pass layer by layer;
 //   - gradcheck.go differentiates core.Model losses by central finite
 //     differences, layer by layer;
 //   - refobs.go enumerates every input assignment of tiny circuits to

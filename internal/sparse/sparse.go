@@ -6,18 +6,16 @@
 // (CSR) for fast sparse×dense products (SpMM).
 //
 // Both formats multiply against dense matrices; CSR additionally offers a
-// transpose product (used by backpropagation) and a goroutine-parallel
-// SpMM standing in for the paper's GPU kernels.
+// transpose product (used by backpropagation) and a parallel SpMM on the
+// shared internal/par helpers, standing in for the paper's GPU kernels.
 package sparse
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -185,7 +183,7 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
-// dedupScratch is the pooled column-stamp scratch for duplicate
+// dedupScratch is the reused column-stamp scratch for duplicate
 // merging: stamp[c] holds the generation that last saw column c and
 // pos[c] where that entry was written. Bumping gen once per row
 // invalidates every stamp at once, so the arrays are never cleared —
@@ -198,7 +196,10 @@ type dedupScratch struct {
 	gen   int64
 }
 
-var dedupPool = sync.Pool{New: func() any { return new(dedupScratch) }}
+// dedupScratches keeps the scratch on a par.Free list rather than in a
+// sync.Pool, which drops items at every collection (and, under the race
+// detector, at random), so a steady-state rebuild never allocates.
+var dedupScratches = par.NewFree[dedupScratch]()
 
 // sumDuplicatesInPlace merges duplicate column entries within each row
 // (rows keep their relative order; columns need not be sorted). The
@@ -206,7 +207,7 @@ var dedupPool = sync.Pool{New: func() any { return new(dedupScratch) }}
 // RowPtr[r] is overwritten, and the write cursor never outruns the read
 // cursor, so no output array is allocated either.
 func (m *CSR) sumDuplicatesInPlace() {
-	s := dedupPool.Get().(*dedupScratch)
+	s := dedupScratches.Get()
 	if len(s.stamp) < m.NumCols {
 		s.stamp = make([]int64, m.NumCols)
 		s.pos = make([]int32, m.NumCols)
@@ -233,7 +234,7 @@ func (m *CSR) sumDuplicatesInPlace() {
 	m.RowPtr[m.NumRows] = w
 	m.ColIdx = m.ColIdx[:w]
 	m.Vals = m.Vals[:w]
-	dedupPool.Put(s)
+	dedupScratches.Put(s)
 }
 
 // MulDense computes dst = m·x; dst must be NumRows×x.Cols.
@@ -250,23 +251,22 @@ func (m *CSR) checkMul(op string, dstRows, dstCols, xRows, xCols int) {
 	}
 }
 
-// mulRows is the one SpMM row kernel: it computes rows lo..hi-1 of m·x
-// into the same rows of dst when sel is nil, and otherwise product row
-// sel[i] into dst row i for i in [lo, hi). Every whole-matrix, banded,
-// row-range and gathered product below runs it, so a row computed by
-// any of them is bit-identical to the same row computed by any other.
-// The adjacency values stay float64 (the CSR is shared by both
-// precisions) and are converted to T per entry. As in tensor.MatMul, the
-// column loop is unrolled by four without changing any element's
-// operations or their order, so its speed does not depend on where the
-// linker places it.
+// mulRows is the one SpMM row kernel: for i in [lo, hi) it computes
+// product row i, or row sel[i] when sel is set, into dst row i-lo. Every
+// whole-matrix, banded, tiled, row-range and gathered product below runs
+// it, so a row computed by any of them is bit-identical to the same row
+// computed by any other. The adjacency values stay float64 (the CSR is
+// shared by both precisions) and are converted to T per entry. As in
+// tensor.MatMul, the column loop is unrolled by four without changing
+// any element's operations or their order, so its speed does not depend
+// on where the linker places it.
 func mulRows[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], sel []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		r := i
 		if sel != nil {
 			r = int(sel[i])
 		}
-		drow := dst.Row(i)
+		drow := dst.Row(i - lo)
 		for j := range drow {
 			drow[j] = 0
 		}
@@ -299,15 +299,27 @@ func (m *CSR) MulDenseRows(dst, x *tensor.Dense, lo, hi int) {
 	if x.Rows != m.NumCols || dst.Cols != x.Cols || lo < 0 || hi < lo || hi > m.NumRows || dst.Rows < hi {
 		panic("sparse: CSR MulDenseRows shape mismatch")
 	}
-	spmmCalls.Inc()
-	spmmRows.Add(int64(hi - lo))
+	countCall[float64](hi - lo)
+	mulRows(m, dst.RowRange(lo, hi), x, nil, lo, hi)
+}
+
+// MulTile computes rows [lo,hi) of m·x into dst, a tile of hi-lo rows.
+// The tiled inference pass in internal/core aggregates one row tile at a
+// time with it; like every product here it runs the one row kernel, so
+// a tile row is bit-identical to the same row of a whole-matrix product.
+func MulTile[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], lo, hi int) {
+	if x.Rows != m.NumCols || dst.Cols != x.Cols || lo < 0 || hi < lo || hi > m.NumRows || dst.Rows != hi-lo {
+		panic("sparse: CSR MulTile shape mismatch")
+	}
+	countCall[T](hi - lo)
 	mulRows(m, dst, x, nil, lo, hi)
 }
 
 // MulGather computes the listed rows of m·x: dst row i is row rows[i] of
 // the product. dst must be len(rows)×x.Cols. The incremental-inference
-// session uses it to refresh just a frontier of nodes with the same row
-// kernel, and therefore the same bits, as a whole-graph product.
+// session uses it to refresh just a frontier of nodes, tile by tile,
+// with the same row kernel, and therefore the same bits, as a
+// whole-graph product.
 func MulGather[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], rows []int32) {
 	if x.Rows != m.NumCols || dst.Rows != len(rows) || dst.Cols != x.Cols {
 		panic("sparse: CSR MulGather shape mismatch")
@@ -323,24 +335,6 @@ func countCall[T tensor.Float](rows int) {
 	}
 	spmmCalls.Inc()
 	spmmRows.Add(int64(rows))
-}
-
-// clampWorkers resolves an effective worker count: workers <= 0 selects
-// GOMAXPROCS, and the result never exceeds min(GOMAXPROCS, NumCPU).
-// Clamping to NumCPU alone (the old behavior) oversubscribes the
-// scheduler in cgroup-limited containers — the serve deployment target —
-// where GOMAXPROCS is set below the host's core count.
-func clampWorkers(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n := runtime.GOMAXPROCS(0); workers > n {
-		workers = n
-	}
-	if n := runtime.NumCPU(); workers > n {
-		workers = n
-	}
-	return workers
 }
 
 // bandsPerWorker subdivides each worker's fair share into this many row
@@ -380,102 +374,58 @@ func nnzBandsInto(buf, rowPtr []int32, n int) []int32 {
 	return bands
 }
 
-// Mul computes dst = m·x with rows partitioned across workers goroutines
-// (workers <= 0 selects GOMAXPROCS; the count is clamped to
+// Mul computes dst = m·x with rows partitioned across workers (workers
+// <= 0 selects GOMAXPROCS; par.Workers clamps the count to
 // min(GOMAXPROCS, NumCPU)). Work is split into nnz-balanced row bands
-// (bandsPerWorker per worker) that workers pull off a shared cursor.
-// This is the CPU analogue of the paper's GPU SpMM, in either precision.
-// Every row runs the same kernel whichever worker takes it, so the result
-// is bit-identical to the serial product.
+// (bandsPerWorker per worker) that the caller and the shared par helpers
+// pull off one cursor. This is the CPU analogue of the paper's GPU SpMM,
+// in either precision. Every row runs the same kernel whichever worker
+// takes it, so the result is bit-identical to the serial product.
 func Mul[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], workers int) {
 	m.checkMul("Mul", dst.Rows, dst.Cols, x.Rows, x.Cols)
 	countCall[T](m.NumRows)
-	workers = clampWorkers(workers)
-	// Serial fallback: with fewer than two rows per worker the goroutine
-	// fan-out costs more than it saves (and rows < workers would leave
-	// some workers with an empty range).
+	workers = par.Workers(workers)
+	// Serial fallback: with fewer than two rows per worker the fan-out
+	// costs more than it saves.
 	if workers == 1 || m.NumRows < 2*workers {
 		mulRows(m, dst, x, nil, 0, m.NumRows)
 		return
 	}
 	spmmParallelCalls.Inc()
-	pool := &bandRuns64
-	if is32[T]() {
-		pool = &bandRuns32
-	}
-	b, _ := pool.Get().(*bandRun[T])
-	if b == nil {
-		b = new(bandRun[T])
-	}
-	b.m, b.dst, b.x = m, dst, x
-	b.bands = nnzBandsInto(b.bands, m.RowPtr, workers*bandsPerWorker)
-	b.cursor.Store(0)
-	startHelpers.Do(func() {
-		for i := 1; i < runtime.NumCPU(); i++ {
-			go func() {
-				for j := range helperJobs {
-					j.help()
-				}
-			}()
-		}
-	})
-	for w := 1; w < workers; w++ {
-		b.wg.Add(1)
-		select {
-		case helperJobs <- b:
-		default:
-			b.wg.Done() // every helper is busy elsewhere: fewer hands, same result
-		}
-	}
-	b.work() // the calling goroutine works too
-	b.wg.Wait()
-	b.m, b.dst, b.x = nil, nil, nil
-	pool.Put(b)
+	jobs := mulJobs[T]()
+	j := jobs.Get()
+	j.m, j.dst, j.x = m, dst, x
+	j.bands = nnzBandsInto(j.bands, m.RowPtr, workers*bandsPerWorker)
+	par.For(workers, len(j.bands)-1, j)
+	j.m, j.dst, j.x = nil, nil, nil
+	jobs.Put(j)
 }
 
-// Parallel products run on the calling goroutine plus up to workers-1
-// long-lived helpers (NumCPU-1 of them, started on first use). Handing a
-// helper its job is a channel send of a pooled run, so a steady-state
-// parallel product allocates nothing, and concurrent products share the
-// helpers instead of oversubscribing the cores. The helpers live as long
-// as the process, like the runtime's own workers: an idle one only
-// blocks on the channel, so nothing needs to stop them.
-var (
-	startHelpers sync.Once
-	helperJobs   = make(chan bandJob)
-)
-
-// bandJob is what a helper runs.
-type bandJob interface{ help() }
-
-// bandRun is the shared state of one parallel product: its operands,
-// the band boundaries and the cursor the workers pull band indices off.
-// Runs are pooled per precision.
-type bandRun[T tensor.Float] struct {
+// mulJob is one parallel product: its operands and band boundaries.
+// Jobs are kept on a free list per precision (with their band buffer),
+// so a steady-state parallel product allocates nothing.
+type mulJob[T tensor.Float] struct {
 	m      *CSR
 	dst, x *tensor.Mat[T]
 	bands  []int32
-	cursor atomic.Int64
-	wg     sync.WaitGroup
 }
 
-var bandRuns64, bandRuns32 sync.Pool
+var (
+	mulJobs64 = par.NewFree[mulJob[float64]]()
+	mulJobs32 = par.NewFree[mulJob[float32]]()
+)
 
-// work multiplies bands until none are left.
-func (b *bandRun[T]) work() {
-	for {
-		i := int(b.cursor.Add(1)) - 1
-		if i >= len(b.bands)-1 {
-			return
-		}
-		mulRows(b.m, b.dst, b.x, nil, int(b.bands[i]), int(b.bands[i+1]))
+func mulJobs[T tensor.Float]() par.Free[mulJob[T]] {
+	if f, ok := any(mulJobs32).(par.Free[mulJob[T]]); ok {
+		return f
 	}
+	return any(mulJobs64).(par.Free[mulJob[T]])
 }
 
-// help is work run by a helper, which then reports back.
-func (b *bandRun[T]) help() {
-	b.work()
-	b.wg.Done()
+// Do multiplies band i.
+func (j *mulJob[T]) Do(i int) {
+	lo, hi := int(j.bands[i]), int(j.bands[i+1])
+	mulRows(j.m, j.dst.RowRange(lo, hi), j.x, nil, lo, hi)
 }
 
 // is32 reports whether T is float32.

@@ -10,40 +10,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestClampWorkers pins the cgroup-aware clamp: the effective worker
-// count must never exceed min(NumCPU, GOMAXPROCS). The old code clamped
-// to NumCPU only, which oversubscribes the Go scheduler when GOMAXPROCS
-// is lowered (cgroup-limited containers).
-func TestClampWorkers(t *testing.T) {
-	limit := func() int {
-		n := runtime.NumCPU()
-		if p := runtime.GOMAXPROCS(0); p < n {
-			n = p
-		}
-		return n
-	}
-	if got := clampWorkers(0); got != limit() {
-		t.Fatalf("clampWorkers(0) = %d, want GOMAXPROCS-derived %d", got, limit())
-	}
-	if got := clampWorkers(1); got != 1 {
-		t.Fatalf("clampWorkers(1) = %d, want 1", got)
-	}
-	if got := clampWorkers(1 << 20); got != limit() {
-		t.Fatalf("clampWorkers(huge) = %d, want %d", got, limit())
-	}
-	// The regression case: GOMAXPROCS below NumCPU (single-CPU hosts
-	// can't lower it further, so raise the request instead and check the
-	// GOMAXPROCS bound is what engages).
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	if got := clampWorkers(runtime.NumCPU() + 8); got != 1 {
-		t.Fatalf("with GOMAXPROCS=1, clampWorkers(NumCPU+8) = %d, want 1", got)
-	}
-	if got := clampWorkers(0); got != 1 {
-		t.Fatalf("with GOMAXPROCS=1, clampWorkers(0) = %d, want 1", got)
-	}
-}
-
 // TestNNZBands checks the band boundaries: monotone, row-aligned
 // coverage of [0, rows], and nonzero counts within a row of each other
 // when rows are uniform.

@@ -8,12 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Pooled scratch buffers. The incremental OPI loop and the serving stack
-// run gather→forward→scatter thousands of times per design; allocating
-// dense scratch per call keeps the GC hot and the caches cold. The pools
-// below hand out size-classed (power-of-two element count) matrices so a
-// buffer released at one shape is reusable at any smaller shape, and
-// growth pays at most one reallocation per doubling.
+// Pooled scratch buffers. Hot loops that need dense scratch on every
+// call (the training backward's transpose products, run once per layer
+// per step) would keep the GC hot and the caches cold allocating it. The
+// pools below hand out size-classed (power-of-two element count)
+// matrices so a buffer released at one shape is reusable at any smaller
+// shape, and growth pays at most one reallocation per doubling.
 //
 // Contract: Get returns a matrix whose contents are UNSPECIFIED — call
 // Zero (or fully overwrite) before reading. Put transfers ownership
@@ -103,12 +103,12 @@ func GetDense32(rows, cols int) *Dense32 { return Get[float32](rows, cols) }
 func PutDense32(d *Dense32) { Put(d) }
 
 // Scratch is one whole-graph pass's set of scratch matrices. The shared
-// pool above suits the small, frequent, concurrent requests of the
-// incremental loop. A whole-graph pass instead needs a handful of N-row
-// buffers, and a sync.Pool keeps whatever it holds reachable through the
-// next collection: how much of that scratch the heap carried at a GC, and
-// so the GC's next heap goal, would hinge on when the collection ran. A
-// Scratch keeps exactly the buffers its last pass used, allocated with
+// pool above suits small, frequent, concurrent requests. A whole-graph
+// inference pass instead needs a few N-row buffers, and a sync.Pool
+// keeps whatever it holds reachable through the next collection: how
+// much of that scratch the heap carried at a GC, and so the GC's next
+// heap goal, would hinge on when the collection ran. A Scratch keeps
+// exactly the buffers its last pass used, allocated with
 // 1/8 headroom so a slightly larger graph still fits, and
 // AcquireScratch/Release hand one retained set from pass to pass. A pass
 // that finds the set taken by a concurrent one gets an empty set of its

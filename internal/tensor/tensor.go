@@ -98,6 +98,12 @@ func (d *Mat[T]) Set(i, j int, v T) { d.Data[i*d.Cols+j] = v }
 // Row returns a mutable view of row i.
 func (d *Mat[T]) Row(i int) []T { return d.Data[i*d.Cols : (i+1)*d.Cols] }
 
+// RowRange returns a (hi-lo)×Cols matrix sharing d's storage for rows
+// [lo, hi).
+func (d *Mat[T]) RowRange(lo, hi int) *Mat[T] {
+	return &Mat[T]{Rows: hi - lo, Cols: d.Cols, Data: d.Data[lo*d.Cols : hi*d.Cols]}
+}
+
 // Clone returns a deep copy.
 func (d *Mat[T]) Clone() *Mat[T] {
 	c := New[T](d.Rows, d.Cols)

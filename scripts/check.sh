@@ -7,12 +7,14 @@
 #   1. go vet over every package
 #   2. gofmt cleanliness (no files would be rewritten)
 #   3. race-detector tests for the concurrency-heavy packages
-#      (internal/obs metrics registry, internal/core parallel trainer,
-#      internal/sparse parallel SpMM, internal/fault bit-parallel sim,
-#      internal/opi parallel impact ranking, internal/partition sharded
-#      executor, internal/coarsen projection), plus the
-#      sharded-vs-whole-graph and coarsening equivalence suites in
-#      internal/refcheck under the race detector
+#      (internal/obs metrics registry, internal/par shared helper pool,
+#      internal/tensor scratch sets, internal/core parallel trainer and
+#      tiled inference, internal/sparse parallel SpMM, internal/fault
+#      bit-parallel sim, internal/opi parallel impact ranking,
+#      internal/partition sharded executor, internal/coarsen
+#      projection), plus the sharded-vs-whole-graph, coarsening and
+#      dense-forward-oracle suites in internal/refcheck under the race
+#      detector
 #   4. the full test suite
 #   5. per-package coverage floors for the numerically critical packages
 #      (set ~5 points under their measured coverage so real erosion
@@ -52,11 +54,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go test -race ./internal/obs ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen"
-go test -race ./internal/obs ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen
+echo "== go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen"
+go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen
 
-echo "== go test -race -run 'Sharded|Coarsen' ./internal/refcheck (sharded + coarsening equivalence under race)"
-go test -race -run 'Sharded|Coarsen' ./internal/refcheck
+echo "== go test -race -run 'Sharded|Coarsen|DenseOracle' ./internal/refcheck (sharded + coarsening equivalence and the dense forward oracle under race)"
+go test -race -run 'Sharded|Coarsen|DenseOracle' ./internal/refcheck
 
 echo "== go build ./... && go test ./..."
 go build ./...
