@@ -26,7 +26,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/opi"
-	"repro/internal/partition"
 	"repro/internal/scoap"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -242,29 +241,9 @@ func BenchmarkCoarsenCoarseForward(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10ShardedForward times the same mid-size point through the
-// partitioned executor (8 level-band shards, halo exchange, pool workers
-// = GOMAXPROCS). Its output is bit-identical to Forward — the delta vs
-// BenchmarkFig10MatrixInference is pure sharding overhead (or speedup,
-// on multi-core hosts).
-func BenchmarkFig10ShardedForward(b *testing.B) {
-	n := circuitgen.Generate("f10m", circuitgen.Config{Seed: 1, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	sp, err := partition.NewSharded(core.MustNewModel(core.DefaultConfig()), partition.Options{K: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sp.Close()
-	sp.PredictProbs(g) // compile the partition once
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.PredictProbs(g)
-	}
-}
-
-// paperScale lazily builds the ≥1M-cell instance shared by the
-// paper-scale benchmark pair; generation plus SCOAP takes tens of
-// seconds and must not be paid per benchmark.
+// paperScale lazily builds the ≥1M-cell instance once per process;
+// generation plus SCOAP takes tens of seconds and must not be paid on
+// every b.N round.
 var paperScale struct {
 	once sync.Once
 	g    *core.Graph
@@ -294,25 +273,6 @@ func BenchmarkPaperScaleForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(g)
-	}
-}
-
-// BenchmarkPaperScaleShardedForward is the same forward through the
-// sharded executor; cmd/benchjson records it across a worker matrix.
-func BenchmarkPaperScaleShardedForward(b *testing.B) {
-	if testing.Short() {
-		b.Skip("paper-scale benchmark skipped in -short mode")
-	}
-	g, m := paperScaleSetup(b)
-	sp, err := partition.NewSharded(m, partition.Options{K: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sp.Close()
-	sp.PredictProbs(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.PredictProbs(g)
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/opi"
-	"repro/internal/partition"
+	"repro/internal/par"
 	"repro/internal/scoap"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -65,13 +65,12 @@ type BenchResult struct {
 	// each result records the value it actually ran under (the header
 	// value only describes process start).
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// Workers is the worker-pool size the benchmark ran under. Entries
-	// in the multi-core matrix (the /workers=… variants) record the
-	// sharded-executor pool size, with the "numcpu" variant resolving
-	// runtime.NumCPU(); every other benchmark records GOMAXPROCS at
-	// measurement time — the effective parallelism of its kernels — so
-	// artifacts from different machines stay self-describing for all
-	// results, not just the matrix.
+	// Workers is the parallelism the benchmark's kernels actually ran
+	// with, par.Workers of the requested count: a /workers=T matrix row
+	// records T clamped to min(GOMAXPROCS, NumCPU), so workers=4 on a
+	// 2-CPU host records 2, and every other benchmark (and the "numcpu"
+	// variant) records min(GOMAXPROCS, NumCPU). Artifacts from different
+	// machines thus stay self-describing for all results.
 	Workers int `json:"workers"`
 }
 
@@ -99,10 +98,10 @@ type BenchFile struct {
 // run minutes long.
 //
 // Entries with parallel=true are the multi-core matrix: they run once
-// per -workers token as Name/workers=T, with the pool size recorded in
-// the result's workers field. samples, when non-zero, overrides -count —
-// the paper-scale benchmarks take tens of seconds per iteration, so one
-// sample keeps a recording session under ten minutes.
+// per -workers token as Name/workers=T, with the effective worker count
+// recorded in the result's workers field. samples, when non-zero,
+// overrides -count — the paper-scale forward takes seconds per
+// iteration, so one sample keeps a recording session short.
 var tier1 = []struct {
 	name     string
 	fn       func(b *testing.B, workers int)
@@ -113,9 +112,7 @@ var tier1 = []struct {
 	{name: "Fig10MatrixInference", fn: ignoreWorkers(benchMatrixInference)},
 	{name: "Fig10MatrixInferenceF32", fn: ignoreWorkers(benchMatrixInferenceF32)},
 	{name: "Fig10RecursiveInference", fn: ignoreWorkers(benchRecursiveInference)},
-	{name: "Fig10ShardedForward", fn: benchShardedForward, parallel: true},
 	{name: "PaperScaleForward", fn: ignoreWorkers(benchPaperScaleForward), samples: 1},
-	{name: "PaperScaleShardedForward", fn: benchPaperScaleSharded, parallel: true, samples: 1},
 	{name: "AblationCSRMul", fn: ignoreWorkers(benchCSRMul)},
 	{name: "AblationCSRMul32", fn: ignoreWorkers(benchCSRMul32)},
 	{name: "AblationSpMMParallel", fn: ignoreWorkers(benchSpMMParallel)},
@@ -140,8 +137,8 @@ func ignoreWorkers(fn func(*testing.B)) func(*testing.B, int) {
 }
 
 // workerVariant is one point of the multi-core matrix: the label used in
-// the benchmark name and the pool size passed to the sharded executor
-// (0 = let the pool pick GOMAXPROCS).
+// the benchmark name and the worker count passed to the benchmark body
+// (0 = GOMAXPROCS).
 type workerVariant struct {
 	label string
 	n     int
@@ -180,7 +177,7 @@ func main() {
 	pattern := flag.String("bench", "", "regexp filtering benchmark names (default: all)")
 	count := flag.Int("count", 3, "samples per benchmark; the fastest is recorded")
 	counters := flag.Bool("counters", true, "enable internal/obs and embed the counter snapshot")
-	workersSpec := flag.String("workers", "1,4,0", "comma-separated worker-pool sizes for the sharded matrix (0 = all cores)")
+	workersSpec := flag.String("workers", "1,4,0", "comma-separated worker counts for the AblationSpMM50k matrix (0 = all cores)")
 	version := flag.Bool("version", false, "print the build's git revision and exit")
 	flag.Parse()
 	if *version {
@@ -231,13 +228,8 @@ func main() {
 		}
 		for _, wv := range variants {
 			name := bm.name
-			recordedWorkers := runtime.GOMAXPROCS(0)
 			if bm.parallel {
 				name = fmt.Sprintf("%s/workers=%s", bm.name, wv.label)
-				recordedWorkers = wv.n
-				if recordedWorkers == 0 {
-					recordedWorkers = runtime.NumCPU()
-				}
 			}
 			if filter != nil && !filter.MatchString(name) {
 				continue
@@ -266,16 +258,7 @@ func main() {
 			var res BenchResult
 			for k := 0; k < samples; k++ {
 				r := testing.Benchmark(func(b *testing.B) { bm.fn(b, wv.n) })
-				sample := BenchResult{
-					Name:        name,
-					Iterations:  r.N,
-					NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-					AllocsPerOp: r.AllocsPerOp(),
-					BytesPerOp:  r.AllocedBytesPerOp(),
-					Seconds:     r.T.Seconds(),
-					GOMAXPROCS:  runtime.GOMAXPROCS(0),
-					Workers:     recordedWorkers,
-				}
+				sample := result(name, r, wv.n)
 				if k == 0 || sample.NsPerOp < res.NsPerOp {
 					res = sample
 				}
@@ -314,6 +297,23 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(file.Benchmarks))
+}
+
+// result turns one testing.Benchmark sample into an artifact row.
+// GOMAXPROCS and Workers are read when the sample is taken, so they are
+// the values the body ran under; workers is the count the body was
+// asked for.
+func result(name string, r testing.BenchmarkResult, workers int) BenchResult {
+	return BenchResult{
+		Name:        name,
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Seconds:     r.T.Seconds(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Workers:     par.Workers(workers),
+	}
 }
 
 // nextBenchPath returns dir/BENCH_NNNN.json for the smallest NNNN not
@@ -386,29 +386,9 @@ func benchRecursiveInference(b *testing.B) {
 	}
 }
 
-// benchShardedForward is the mid-size sharded-executor point of the
-// multi-core matrix: the Figure 10 design scored through 8 level-band
-// shards with the given worker-pool size. Output is bit-identical to
-// Fig10MatrixInference, so the delta between them is pure partitioning
-// cost/benefit at each pool size.
-func benchShardedForward(b *testing.B, workers int) {
-	g, m := fig10Setup(1)
-	sp, err := partition.NewSharded(m, partition.Options{K: 8, Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sp.Close()
-	sp.PredictProbs(g) // compile the partition once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.PredictProbs(g)
-	}
-}
-
-// paperScale lazily builds the ≥1M-cell instance shared by the
-// paper-scale pair: generation plus SCOAP takes tens of seconds and must
-// be paid once per recording session, not per matrix point.
+// paperScale lazily builds the ≥1M-cell instance for PaperScaleForward:
+// generation plus SCOAP takes tens of seconds and must be paid once per
+// recording session, not per testing.Benchmark call.
 var paperScale struct {
 	once sync.Once
 	g    *core.Graph
@@ -429,28 +409,11 @@ func paperScaleSetup() (*core.Graph, *core.Model) {
 // largest reported scale (Table 1 / the right edge of Figure 10).
 func benchPaperScaleForward(b *testing.B) {
 	g, m := paperScaleSetup()
-	m.Forward(g) // build the CSRs once, as the sharded row's warm-up does
+	m.Forward(g) // build the CSRs and the retained scratch once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(g)
-	}
-}
-
-// benchPaperScaleSharded: the same ≥1M-cell forward through the sharded
-// executor at each matrix pool size.
-func benchPaperScaleSharded(b *testing.B, workers int) {
-	g, m := paperScaleSetup()
-	sp, err := partition.NewSharded(m, partition.Options{K: 8, Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sp.Close()
-	sp.PredictProbs(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.PredictProbs(g)
 	}
 }
 
@@ -508,9 +471,10 @@ func benchCSRMul32(b *testing.B) {
 
 // benchSpMM50k is the nnz-balanced parallel SpMM matrix point: the
 // 50k-gate OPI fixture's adjacency times a 32-column block at each
-// worker-pool size. Note MulDenseParallel clamps its workers to
+// worker count. MulDenseParallel clamps its workers to
 // min(GOMAXPROCS, NumCPU), so on hosts with fewer cores than the matrix
-// asks for, higher-worker rows measure the (honest) clamped execution.
+// asks for, higher-worker rows measure the clamped execution, and their
+// workers field says so.
 func benchSpMM50k(b *testing.B, workers int) {
 	opiBenchSetup()
 	csr := opiBench.g.Pred()

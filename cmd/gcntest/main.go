@@ -233,25 +233,25 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ms.Save(f); err != nil {
+	if err := core.SaveCheckpointFile(*out, ms); err != nil {
 		return err
 	}
 	fmt.Printf("saved %d-stage cascade to %s\n", len(ms.Stages), *out)
 	return nil
 }
 
+// loadModel reads the cascade checkpoint that train writes; a checkpoint
+// of a single model is rejected, since infer and insert run the cascade.
 func loadModel(path string) (*core.MultiStage, error) {
-	f, err := os.Open(path)
+	pred, err := core.LoadCheckpointFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.LoadMultiStage(f)
+	ms, ok := pred.(*core.MultiStage)
+	if !ok {
+		return nil, fmt.Errorf("%s holds a single model, not a multi-stage cascade (write one with gcntest train)", path)
+	}
+	return ms, nil
 }
 
 func cmdInfer(args []string) error {

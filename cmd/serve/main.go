@@ -7,19 +7,14 @@
 //	serve -model model.gob [-addr :8080] [-max-concurrent 4]
 //	      [-max-queue 64] [-timeout 30s] [-cache 32]
 //	      [-drain-timeout 30s] [-access-log PATH] [-slow-ms 1000]
-//	      [-sample 16] [-shards 0] [-shard-workers 0] [-f32]
+//	      [-sample 16] [-f32]
 //	serve -demo             # untrained paper-architecture model
 //
-// -model accepts both the self-describing checkpoint format
-// (core.SaveCheckpoint) and the legacy cascade stream `gcntest train`
-// writes. -shards K (K > 0) scores each design through the partitioned
-// executor of internal/partition — K level-band shards on a worker pool
-// of -shard-workers goroutines (0 = all cores) — which is bit-identical
-// to whole-graph inference and pays off on million-cell designs on
-// multi-core hosts. -f32 compiles designs through the model's float32
-// inference path (scores within ~1e-4 of float64; edit deltas always
-// run exact float64). On SIGINT/SIGTERM the server flips /healthz to
-// "draining", stops accepting connections, and waits up to
+// -model takes a weights checkpoint (core.SaveCheckpoint), such as the
+// cascade `gcntest train` writes. -f32 compiles designs through the
+// model's float32 inference path (scores within ~1e-4 of float64; edit
+// deltas always run exact float64). On SIGINT/SIGTERM the server flips
+// /healthz to "draining", stops accepting connections, and waits up to
 // -drain-timeout for in-flight requests before exiting.
 package main
 
@@ -38,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/serve"
 )
 
@@ -52,7 +46,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	model := fs.String("model", "", "weights checkpoint (core.SaveCheckpoint or legacy gcntest train output)")
+	model := fs.String("model", "", "weights checkpoint (core.SaveCheckpoint, e.g. gcntest train output)")
 	demo := fs.Bool("demo", false, "serve an untrained paper-architecture model (smoke tests, curl demos)")
 	maxConcurrent := fs.Int("max-concurrent", 4, "requests doing work simultaneously")
 	maxQueue := fs.Int("max-queue", 64, "requests allowed to wait for a slot before shedding")
@@ -62,8 +56,6 @@ func run(args []string) error {
 	accessLog := fs.String("access-log", "", `structured JSON access-log destination ("-" for stdout, empty disables)`)
 	slowMs := fs.Int("slow-ms", 1000, "slow-request threshold in ms; slow requests always log with phase breakdowns (0 disables)")
 	sample := fs.Int("sample", 16, "access-log sampling: log one in N fast requests (1 logs all)")
-	shards := fs.Int("shards", 0, "score through the partitioned executor with this many shards (0 = whole-graph inference)")
-	shardWorkers := fs.Int("shard-workers", 0, "worker-pool size for -shards (0 = all cores)")
 	f32 := fs.Bool("f32", false, "score submitted designs with float32 inference (~1e-4 divergence; deltas stay float64)")
 	version := fs.Bool("version", false, "print the build's git revision and exit")
 	if err := fs.Parse(args); err != nil {
@@ -89,16 +81,6 @@ func run(args []string) error {
 		log.Println("WARNING: -demo serves an UNTRAINED model; scores are meaningless")
 	default:
 		return errors.New("one of -model or -demo is required")
-	}
-
-	if *shards > 0 {
-		sp, err := partition.NewSharded(pred, partition.Options{K: *shards, Workers: *shardWorkers})
-		if err != nil {
-			return fmt.Errorf("-shards: %w", err)
-		}
-		defer sp.Close()
-		pred = sp
-		info = fmt.Sprintf("%s, sharded x%d (%d workers)", info, sp.NumShards(), sp.Workers())
 	}
 
 	// Live /metrics, /snapshot and /debug/requests are part of the

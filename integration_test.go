@@ -60,10 +60,10 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 4. Serialize and reload the cascade (the CLI handoff).
 	var buf bytes.Buffer
-	if err := ms.Save(&buf); err != nil {
+	if err := core.SaveCheckpoint(&buf, ms); err != nil {
 		t.Fatal(err)
 	}
-	ms2, err := core.LoadMultiStage(&buf)
+	ms2, err := core.LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

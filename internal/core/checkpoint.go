@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -13,14 +12,12 @@ import (
 // Model or a MultiStage cascade) together with its architecture and
 // parameter values, so that a serving process (cmd/serve) can restore a
 // trained predictor without knowing anything about how it was trained.
-// The legacy cascade stream written by (*MultiStage).Save — what
-// `gcntest train` has produced since PR 2 — remains loadable through
-// LoadCheckpointFile's fallback path.
+// It is the only weights format: `gcntest train` writes it, and
+// `gcntest infer`/`insert` and cmd/serve read it.
 
 const (
 	// checkpointMagic identifies the self-describing checkpoint envelope;
-	// streams without it are either corrupt or in the legacy cascade
-	// format.
+	// streams without it are rejected.
 	checkpointMagic = "repro/gcn-checkpoint"
 	// checkpointVersion is the current envelope version; readers reject
 	// versions they do not know.
@@ -116,50 +113,32 @@ func LoadCheckpoint(r io.Reader) (IncrementalPredictor, error) {
 	}
 }
 
-// LoadCheckpointFile restores a predictor from path. It accepts both the
-// self-describing checkpoint format and the legacy cascade stream
-// written by (*MultiStage).Save (the model.gob that `gcntest train`
-// emits), so older trained artifacts keep working as serving
-// checkpoints.
+// LoadCheckpointFile restores a predictor from a file written by
+// SaveCheckpointFile.
 func LoadCheckpointFile(path string) (IncrementalPredictor, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := LoadCheckpoint(bytes.NewReader(data))
-	if err == nil {
-		return pred, nil
+	defer f.Close()
+	pred, err := LoadCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	ms, legacyErr := LoadMultiStage(bytes.NewReader(data))
-	if legacyErr != nil {
-		return nil, fmt.Errorf("core: %s is neither a checkpoint (%v) nor a legacy cascade (%v)",
-			path, err, legacyErr)
-	}
-	return ms, nil
-}
-
-// PredictorCloner is the hook composite predictors implement so that
-// ClonePredictor can deep-copy them without core knowing their concrete
-// type (partition.ShardedPredictor wraps a Model or MultiStage and
-// clones its base plus private execution state through this).
-type PredictorCloner interface {
-	ClonePredictor() IncrementalPredictor
+	return pred, nil
 }
 
 // ClonePredictor returns a deep copy of a known predictor type (*Model
 // or *MultiStage) with its own parameter and scratch storage, safe to
-// use concurrently with the original. Other types are asked to clone
-// themselves via PredictorCloner when they implement it, and are
-// returned unchanged otherwise — callers needing isolation for such
-// predictors must provide it themselves.
+// use concurrently with the original. Other types are returned
+// unchanged; callers needing isolation for such predictors must provide
+// it themselves.
 func ClonePredictor(pred IncrementalPredictor) IncrementalPredictor {
 	switch p := pred.(type) {
 	case *Model:
 		return p.Clone()
 	case *MultiStage:
 		return p.Clone()
-	case PredictorCloner:
-		return p.ClonePredictor()
 	default:
 		return pred
 	}

@@ -68,34 +68,6 @@ func TestCheckpointMultiStageRoundTripFile(t *testing.T) {
 	}
 }
 
-func TestLoadCheckpointFileLegacyFallback(t *testing.T) {
-	m, g := trainTiny(t)
-	ms := &MultiStage{Stages: []*Model{m}, FilterBelow: 0.3}
-	path := filepath.Join(t.TempDir(), "model.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.Save(f); err != nil { // the legacy gcntest-train format
-		t.Fatal(err)
-	}
-	f.Close()
-	pred, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms2, ok := pred.(*MultiStage)
-	if !ok {
-		t.Fatalf("loaded %T, want *MultiStage", pred)
-	}
-	want, got := ms.PredictProbs(g), ms2.PredictProbs(g)
-	for v := range want {
-		if want[v] != got[v] {
-			t.Fatalf("node %d: prob %g != %g via legacy fallback", v, got[v], want[v])
-		}
-	}
-}
-
 func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not a gob stream"))); err == nil {
 		t.Fatal("garbage stream loaded without error")

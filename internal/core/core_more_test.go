@@ -93,12 +93,16 @@ func TestMultiStageSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ms.Save(&buf); err != nil {
+	if err := SaveCheckpoint(&buf, ms); err != nil {
 		t.Fatal(err)
 	}
-	ms2, err := LoadMultiStage(&buf)
+	pred, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ms2, ok := pred.(*MultiStage)
+	if !ok {
+		t.Fatalf("loaded %T, want *MultiStage", pred)
 	}
 	if len(ms2.Stages) != len(ms.Stages) || ms2.FilterBelow != ms.FilterBelow {
 		t.Fatalf("cascade metadata lost: %d stages, filter %v", len(ms2.Stages), ms2.FilterBelow)
@@ -114,7 +118,7 @@ func TestMultiStageSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveEmptyCascadeFails(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (&MultiStage{}).Save(&buf); err == nil {
+	if err := SaveCheckpoint(&buf, &MultiStage{}); err == nil {
 		t.Error("saving an empty cascade should fail")
 	}
 }

@@ -214,12 +214,16 @@ func TestSaveLoadModel(t *testing.T) {
 	g := testGraph(41, 150)
 	m := MustNewModel(tinyConfig(3))
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := SaveCheckpoint(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	m2 := MustNewModel(tinyConfig(999)) // different init
-	if err := m2.Load(&buf); err != nil {
+	pred, err := LoadCheckpoint(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	m2, ok := pred.(*Model)
+	if !ok {
+		t.Fatalf("loaded %T, want *Model", pred)
 	}
 	a, b := m.Predict(g), m2.Predict(g)
 	for i := range a {

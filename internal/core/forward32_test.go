@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 )
@@ -84,8 +83,8 @@ func TestFloat32MultiStage(t *testing.T) {
 	empty.SetFloat32Inference(true) // must not panic
 }
 
-// TestFloat32WeightCacheInvalidation: Load and CopyParamsFrom must drop
-// the narrowed weights so the next f32 prediction reflects the new
+// TestFloat32WeightCacheInvalidation: CopyParamsFrom must drop the
+// narrowed weights so the next f32 prediction reflects the new
 // parameters.
 func TestFloat32WeightCacheInvalidation(t *testing.T) {
 	g := testGraph(47, 200)
@@ -105,21 +104,4 @@ func TestFloat32WeightCacheInvalidation(t *testing.T) {
 		}
 	}
 
-	// Round-trip b through Save/Load into the f32 model: same contract.
-	var buf bytes.Buffer
-	third := MustNewModel(tinyConfig(10))
-	if err := third.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.PredictProbs(g) // rebuild cache before invalidating again
-	if err := f.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want = third.PredictProbs(g)
-	got = f.PredictProbs(g)
-	for v := range want {
-		if d := math.Abs(got[v] - want[v]); d > f32Tol {
-			t.Fatalf("node %d: stale weights32 survived Load (off by %g)", v, d)
-		}
-	}
 }

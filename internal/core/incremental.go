@@ -57,20 +57,6 @@ type IncrementalState struct {
 	front, front2 []int32 // frontier node lists (double-buffered)
 }
 
-// NewIncrementalState assembles an incremental-inference state from
-// externally computed per-layer embeddings and logits; the sharded
-// executor (internal/partition) stitches these from per-shard runs and
-// hands the whole-graph view back to core here. embeds[0] must be a
-// private copy of the attribute matrix (not an alias of g.X, which
-// later attribute edits would corrupt) and embeds[d] the post-ReLU E_d;
-// Probs is derived from logits exactly as ForwardFull derives it.
-func NewIncrementalState(embeds []*tensor.Dense, logits *tensor.Dense) *IncrementalState {
-	if len(embeds) == 0 || logits == nil {
-		panic("core: NewIncrementalState needs per-layer embeddings and logits")
-	}
-	return &IncrementalState{embeds: embeds, logits: logits, Probs: probs(logits)}
-}
-
 // Embeddings returns the cached per-layer embeddings E_0 … E_D. They are
 // owned by the state and refreshed in place by updates; treat them as
 // read-only.
@@ -78,17 +64,6 @@ func (st *IncrementalState) Embeddings() []*tensor.Dense { return st.embeds }
 
 // Logits returns the cached logits, owned by the state like Embeddings.
 func (st *IncrementalState) Logits() *tensor.Dense { return st.logits }
-
-// RunFromState wraps an externally assembled state into the same
-// incremental session NewIncremental returns; the state must have been
-// produced by (or be bit-identical to) a full forward pass of this
-// model over the session's graph.
-func (m *Model) RunFromState(st *IncrementalState) IncrementalRun {
-	if len(st.embeds) != len(m.Enc)+1 {
-		panic("core: RunFromState embedding depth does not match model depth")
-	}
-	return &modelRun{m: m, st: st}
-}
 
 // modelRun adapts a (Model, IncrementalState) pair to IncrementalRun.
 type modelRun struct {
@@ -112,7 +87,7 @@ func (m *Model) ForwardFull(g *Graph) *IncrementalState {
 	span := obs.StartSpan("infer/full")
 	defer span.End()
 	logits, embeds := infer(newWeights[float64](m), g, true)
-	return NewIncrementalState(embeds, logits)
+	return &IncrementalState{embeds: embeds, logits: logits, Probs: probs(logits)}
 }
 
 // UpdateIncremental refreshes the state after graph mutations. dirty

@@ -364,7 +364,7 @@ func probs[T tensor.Float](logits *tensor.Mat[T]) []float64 {
 }
 
 // SetFloat32Inference flips every stage of the cascade; the combining
-// logic (CombineStageProbs) is precision-agnostic.
+// logic (cascadeProb) is precision-agnostic.
 func (ms *MultiStage) SetFloat32Inference(on bool) {
 	for _, s := range ms.Stages {
 		s.SetFloat32Inference(on)

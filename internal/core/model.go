@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/nn"
@@ -40,9 +39,6 @@ func DefaultConfig() Config {
 		NumClasses: 2,
 	}
 }
-
-// Depth returns the search depth D.
-func (c Config) Depth() int { return len(c.Dims) }
 
 func (c Config) validate() error {
 	if len(c.Dims) == 0 {
@@ -136,16 +132,6 @@ func (m *Model) NumParams() int {
 		total += len(p.Data)
 	}
 	return total
-}
-
-// Save writes the parameters to w.
-func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.Params()) }
-
-// Load restores parameters saved by Save into a model of identical
-// architecture.
-func (m *Model) Load(r io.Reader) error {
-	m.w32 = nil // cached f32 weights no longer match
-	return nn.LoadParams(r, m.Params())
 }
 
 // Clone returns a model with the same architecture and copied parameter

@@ -214,34 +214,9 @@ func (ms *MultiStage) PredictProbs(g *Graph) []float64 {
 	for s, model := range ms.Stages {
 		stageProbs[s] = model.Predict(g)
 	}
-	return ms.CombineStageProbs(g.N, stageProbs)
-}
-
-// CombineStageProbs folds externally computed per-stage probability
-// slices into the cascade's per-node verdict: the first non-final stage
-// confident enough to filter a node assigns its squashed probability,
-// survivors get the final stage's probability. PredictProbs is exactly
-// this over stage-by-stage Predict calls; the sharded executor
-// (internal/partition) reuses it so the cascade decision has a single
-// implementation no matter where the stage probabilities were computed.
-func (ms *MultiStage) CombineStageProbs(n int, stageProbs [][]float64) []float64 {
-	if len(stageProbs) != len(ms.Stages) {
-		panic(fmt.Sprintf("core: %d stage probability slices for %d stages",
-			len(stageProbs), len(ms.Stages)))
-	}
-	out := make([]float64, n)
-	last := len(ms.Stages) - 1
-	for v := 0; v < n; v++ {
-		for s := range ms.Stages {
-			p := stageProbs[s][v]
-			if s < last && p < ms.FilterBelow {
-				out[v] = p * ms.FilterBelow // squash below any survivor
-				break
-			}
-			if s == last {
-				out[v] = p
-			}
-		}
+	out := make([]float64, g.N)
+	for v := range out {
+		out[v] = ms.cascadeProb(stageProbs, v)
 	}
 	return out
 }

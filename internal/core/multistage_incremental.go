@@ -28,21 +28,31 @@ func (ms *MultiStage) ForwardFull(g *Graph) *MultiStageState {
 	for _, m := range ms.Stages {
 		st.stages = append(st.stages, m.ForwardFull(g))
 	}
-	for v := 0; v < g.N; v++ {
-		st.Probs[v] = ms.cascadeProb(st, int32(v))
+	stageProbs := st.stageProbs()
+	for v := range st.Probs {
+		st.Probs[v] = ms.cascadeProb(stageProbs, v)
 	}
 	return st
 }
 
-// cascadeProb evaluates the cascade decision for one node from the
-// cached per-stage probabilities: the first non-final stage confident
-// enough to filter the node assigns its (squashed) probability, and
-// survivors get the final stage's probability — exactly the per-node
-// logic of PredictProbs.
-func (ms *MultiStage) cascadeProb(st *MultiStageState, v int32) float64 {
+// stageProbs lists every stage's cached per-node probabilities.
+func (st *MultiStageState) stageProbs() [][]float64 {
+	out := make([][]float64, len(st.stages))
+	for s, sst := range st.stages {
+		out[s] = sst.Probs
+	}
+	return out
+}
+
+// cascadeProb evaluates the cascade decision for node v from the
+// per-stage probabilities: the first non-final stage confident enough to
+// filter the node assigns its (squashed) probability, and survivors get
+// the final stage's probability. PredictProbs and the incremental
+// session both decide through it.
+func (ms *MultiStage) cascadeProb(stageProbs [][]float64, v int) float64 {
 	last := len(ms.Stages) - 1
 	for s := range ms.Stages {
-		p := st.stages[s].Probs[v]
+		p := stageProbs[s][v]
 		if s < last && p < ms.FilterBelow {
 			return p * ms.FilterBelow // squash below any survivor
 		}
@@ -67,9 +77,10 @@ func (ms *MultiStage) UpdateIncremental(st *MultiStageState, g *Graph, dirty []i
 	if g.N > len(st.Probs) {
 		st.Probs = append(st.Probs, make([]float64, g.N-len(st.Probs))...)
 	}
+	stageProbs := st.stageProbs()
 	out := make([]int32, 0, len(affected))
 	for v := range affected {
-		st.Probs[v] = ms.cascadeProb(st, v)
+		st.Probs[v] = ms.cascadeProb(stageProbs, int(v))
 		out = append(out, v)
 	}
 	return out
@@ -90,25 +101,4 @@ func (r *multiStageRun) Update(g *Graph, dirty []int32) { r.ms.UpdateIncremental
 // session for incremental updates.
 func (ms *MultiStage) NewIncremental(g *Graph) IncrementalRun {
 	return &multiStageRun{ms: ms, st: ms.ForwardFull(g)}
-}
-
-// RunFromStates wraps externally assembled per-stage incremental states
-// (one per cascade stage, each equivalent to that stage's ForwardFull
-// over the same graph) into the session NewIncremental returns. The
-// sharded executor (internal/partition) uses this to hand its stitched
-// whole-graph states back to the cascade.
-func (ms *MultiStage) RunFromStates(states []*IncrementalState) IncrementalRun {
-	if len(states) != len(ms.Stages) {
-		panic("core: RunFromStates needs exactly one state per cascade stage")
-	}
-	st := &MultiStageState{stages: states}
-	n := 0
-	if len(states) > 0 {
-		n = states[0].logits.Rows
-	}
-	st.Probs = make([]float64, n)
-	for v := range st.Probs {
-		st.Probs[v] = ms.cascadeProb(st, int32(v))
-	}
-	return &multiStageRun{ms: ms, st: st}
 }

@@ -7,9 +7,7 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -282,44 +280,4 @@ func (m *MLP) Backward(dlogits *tensor.Dense) *tensor.Dense {
 		grad = m.Layers[i].Backward(in, grad)
 	}
 	return grad
-}
-
-// snapshot is the gob wire format for parameter sets.
-type snapshot struct {
-	Names  []string
-	Values [][]float64
-}
-
-// SaveParams serializes parameters (by name) to w.
-func SaveParams(w io.Writer, params []*Param) error {
-	var s snapshot
-	for _, p := range params {
-		s.Names = append(s.Names, p.Name)
-		s.Values = append(s.Values, p.Data)
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// LoadParams restores parameter values by name; every stored name must
-// match a parameter of identical size.
-func LoadParams(r io.Reader, params []*Param) error {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return err
-	}
-	byName := make(map[string]*Param, len(params))
-	for _, p := range params {
-		byName[p.Name] = p
-	}
-	for i, name := range s.Names {
-		p, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("nn: stored parameter %q not present in model", name)
-		}
-		if len(p.Data) != len(s.Values[i]) {
-			return fmt.Errorf("nn: parameter %q size %d != stored %d", name, len(p.Data), len(s.Values[i]))
-		}
-		copy(p.Data, s.Values[i])
-	}
-	return nil
 }

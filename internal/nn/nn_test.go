@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,34 +183,6 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 		if pred[i] != want {
 			t.Errorf("XOR sample %d predicted %d, want %d", i, pred[i], want)
 		}
-	}
-}
-
-func TestSaveLoadParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewMLP("m", []int{4, 6, 2}, rng)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, m.Params()); err != nil {
-		t.Fatalf("SaveParams: %v", err)
-	}
-	m2 := NewMLP("m", []int{4, 6, 2}, rand.New(rand.NewSource(1234)))
-	if err := LoadParams(&buf, m2.Params()); err != nil {
-		t.Fatalf("LoadParams: %v", err)
-	}
-	x := randInput(rng, 5, 4)
-	a, b := m.Forward(x), m2.Forward(x)
-	if diff := tensor.MaxAbsDiff(a, b); diff != 0 {
-		t.Errorf("restored model differs by %g", diff)
-	}
-
-	// Mismatched shape errors.
-	var buf2 bytes.Buffer
-	if err := SaveParams(&buf2, m.Params()); err != nil {
-		t.Fatal(err)
-	}
-	m3 := NewMLP("m", []int{4, 7, 2}, rng)
-	if err := LoadParams(&buf2, m3.Params()); err == nil {
-		t.Error("LoadParams with mismatched shapes should fail")
 	}
 }
 

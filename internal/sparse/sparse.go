@@ -288,21 +288,6 @@ func mulRows[T tensor.Float](m *CSR, dst, x *tensor.Mat[T], sel []int32, lo, hi 
 	}
 }
 
-// MulDenseRows computes rows [lo,hi) of dst = m·x, leaving every other
-// row of dst untouched. The per-row accumulation order is identical to
-// MulDense, so computing a row here is bit-identical to computing it as
-// part of a whole-matrix product — the property the sharded executor in
-// internal/partition relies on. dst may be taller than hi (scratch
-// buffers are reused across layers of different active heights); x must
-// cover all NumCols columns.
-func (m *CSR) MulDenseRows(dst, x *tensor.Dense, lo, hi int) {
-	if x.Rows != m.NumCols || dst.Cols != x.Cols || lo < 0 || hi < lo || hi > m.NumRows || dst.Rows < hi {
-		panic("sparse: CSR MulDenseRows shape mismatch")
-	}
-	countCall[float64](hi - lo)
-	mulRows(m, dst.RowRange(lo, hi), x, nil, lo, hi)
-}
-
 // MulTile computes rows [lo,hi) of m·x into dst, a tile of hi-lo rows.
 // The tiled inference pass in internal/core aggregates one row tile at a
 // time with it; like every product here it runs the one row kernel, so

@@ -11,17 +11,17 @@
 #      internal/tensor scratch sets, internal/core parallel trainer and
 #      tiled inference, internal/sparse parallel SpMM, internal/fault
 #      bit-parallel sim, internal/opi parallel impact ranking,
-#      internal/partition sharded executor, internal/coarsen
-#      projection), plus the sharded-vs-whole-graph, coarsening and
+#      internal/coarsen projection), plus the coarsening and
 #      dense-forward-oracle suites in internal/refcheck under the race
 #      detector
 #   4. the full test suite
 #   5. per-package coverage floors for the numerically critical packages
 #      (set ~5 points under their measured coverage so real erosion
 #      fails, incidental churn doesn't; see docs/TESTING.md)
-#   6. a short-budget fuzz smoke pass over every committed fuzz target,
-#      so the seed corpora keep executing and shallow crashers are
-#      caught pre-merge (FUZZTIME=0 skips, e.g. on slow CI)
+#   6. a short-budget fuzz smoke pass over every committed fuzz target
+#      (parser, SpMM, fault sim, inference forward, coarsening), so the
+#      seed corpora keep executing and shallow crashers are caught
+#      pre-merge (FUZZTIME=0 skips, e.g. on slow CI)
 #   7. documentation hygiene: every relative markdown link resolves, and
 #      every package carries a doc comment
 #   8. the bench-regression gate: cmd/benchcmp diffs the two most recent
@@ -30,9 +30,9 @@
 #      different machines; the float32 kernels get extra headroom via
 #      -tol-for since their throughput tracks the recording host's SIMD
 #      width; see docs/OBSERVABILITY.md)
-#   9. metric-key documentation: every serve.* / obs.* / partition.* /
-#      coarsen.* / spmm.* / pool.* metric key registered in non-test Go
-#      sources appears in docs/OBSERVABILITY.md
+#   9. metric-key documentation: every serve.* / obs.* / coarsen.* /
+#      spmm.* / pool.* metric key registered in non-test Go sources
+#      appears in docs/OBSERVABILITY.md
 #  10. bench artifact completeness: the newest committed BENCH_NNNN.json
 #      contains at least one result row recorded at 1 < gomaxprocs <=
 #      the artifact's num_cpu, so the worker-scaling matrix can never
@@ -54,11 +54,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen"
-go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/partition ./internal/coarsen
+echo "== go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen"
+go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen
 
-echo "== go test -race -run 'Sharded|Coarsen|DenseOracle' ./internal/refcheck (sharded + coarsening equivalence and the dense forward oracle under race)"
-go test -race -run 'Sharded|Coarsen|DenseOracle' ./internal/refcheck
+echo "== go test -race -run 'Coarsen|DenseOracle' ./internal/refcheck (coarsening equivalence and the dense forward oracle under race)"
+go test -race -run 'Coarsen|DenseOracle' ./internal/refcheck
 
 echo "== go build ./... && go test ./..."
 go build ./...
@@ -85,7 +85,6 @@ check_cover sparse 80
 check_cover core 85
 check_cover nn 90
 check_cover serve 80
-check_cover partition 85
 check_cover coarsen 85
 
 if [ "$FUZZTIME" != "0" ]; then
@@ -93,7 +92,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzNetlistParse$' -fuzztime="$FUZZTIME" ./internal/netlist
     go test -run='^$' -fuzz='^FuzzSparseMul$'    -fuzztime="$FUZZTIME" ./internal/sparse
     go test -run='^$' -fuzz='^FuzzBatchSim$'     -fuzztime="$FUZZTIME" ./internal/fault
-    go test -run='^$' -fuzz='^FuzzPartition$'    -fuzztime="$FUZZTIME" ./internal/partition
+    go test -run='^$' -fuzz='^FuzzForward$'      -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzCoarsen$'      -fuzztime="$FUZZTIME" ./internal/coarsen
 else
     echo "== fuzz smoke skipped (FUZZTIME=0)"
@@ -140,11 +139,11 @@ while read -r key; do
     fi
 done < <(
     git ls-files 'internal/*.go' 'cmd/*.go' | grep -v '_test\.go$' |
-    xargs grep -hoE 'Get(Counter|Gauge|Histogram)\("(serve|obs|partition|coarsen|spmm|pool)\.[a-z0-9_.]+"' |
+    xargs grep -hoE 'Get(Counter|Gauge|Histogram)\("(serve|obs|coarsen|spmm|pool)\.[a-z0-9_.]+"' |
     sed -E 's/^Get(Counter|Gauge|Histogram)\("//; s/"$//' | sort -u
 )
 [ "$undocumented" -eq 0 ] || exit 1
-echo "   every serve.*/obs.*/partition.*/coarsen.*/spmm.*/pool.* metric key documented"
+echo "   every serve.*/obs.*/coarsen.*/spmm.*/pool.* metric key documented"
 
 echo "== benchcmp (recorded performance trajectory)"
 benches=$(ls BENCH_*.json 2>/dev/null | sort | tail -2)
