@@ -37,27 +37,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/benchsuite"
 	"repro/internal/obs"
 )
-
-// BenchFile mirrors the subset of cmd/benchjson's artifact schema the
-// comparison needs.
-type BenchFile struct {
-	SchemaVersion int           `json:"schema_version"`
-	Name          string        `json:"name"`
-	GitDescribe   string        `json:"git_describe"`
-	NumCPU        int           `json:"num_cpu"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	Benchmarks    []BenchResult `json:"benchmarks"`
-}
-
-// BenchResult is one benchmark's measurement.
-type BenchResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
 
 // allocGrace is the absolute allocs/op headroom added on top of
 // -alloc-tol, so a zero-alloc baseline does not fail on a single
@@ -152,12 +134,12 @@ func run(args []string, stdout io.Writer) (int, error) {
 	return compare(oldF, newF, fs.Arg(0), fs.Arg(1), *tol, *allocTol, *minNS, overrides, stdout), nil
 }
 
-func readBenchFile(path string) (*BenchFile, error) {
+func readBenchFile(path string) (*benchsuite.BenchFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f BenchFile
+	var f benchsuite.BenchFile
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -169,14 +151,14 @@ func readBenchFile(path string) (*BenchFile, error) {
 
 // compare prints a per-benchmark verdict table and returns how many
 // benchmarks regressed.
-func compare(oldF, newF *BenchFile, oldPath, newPath string, tol, allocTol, minNS float64, overrides tolOverrides, w io.Writer) int {
+func compare(oldF, newF *benchsuite.BenchFile, oldPath, newPath string, tol, allocTol, minNS float64, overrides tolOverrides, w io.Writer) int {
 	fmt.Fprintf(w, "benchcmp %s (%s) -> %s (%s)\n", oldPath, oldF.GitDescribe, newPath, newF.GitDescribe)
 	if oldF.NumCPU != newF.NumCPU || oldF.GOMAXPROCS != newF.GOMAXPROCS {
 		fmt.Fprintf(w, "WARNING: artifacts recorded on different machines (num_cpu %d vs %d, gomaxprocs %d vs %d); ns/op is not strictly comparable\n",
 			oldF.NumCPU, newF.NumCPU, oldF.GOMAXPROCS, newF.GOMAXPROCS)
 	}
 
-	oldBy := make(map[string]BenchResult, len(oldF.Benchmarks))
+	oldBy := make(map[string]benchsuite.BenchResult, len(oldF.Benchmarks))
 	for _, b := range oldF.Benchmarks {
 		oldBy[b.Name] = b
 	}

@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/benchsuite"
 )
 
-// writeBench serializes a BenchFile into dir and returns its path.
-func writeBench(t *testing.T, dir, name string, f BenchFile) string {
+// writeBench serializes an artifact into dir and returns its path.
+func writeBench(t *testing.T, dir, name string, f benchsuite.BenchFile) string {
 	t.Helper()
 	if f.SchemaVersion == 0 {
 		f.SchemaVersion = 1
@@ -31,10 +33,10 @@ func writeBench(t *testing.T, dir, name string, f BenchFile) string {
 	return path
 }
 
-func baseline() BenchFile {
-	return BenchFile{
+func baseline() benchsuite.BenchFile {
+	return benchsuite.BenchFile{
 		GitDescribe: "abc123",
-		Benchmarks: []BenchResult{
+		Benchmarks: []benchsuite.BenchResult{
 			{Name: "SpMM", NsPerOp: 1_000_000, AllocsPerOp: 0},
 			{Name: "FaultSim", NsPerOp: 2_000_000, AllocsPerOp: 100},
 		},
@@ -161,8 +163,8 @@ func TestTolForOverride(t *testing.T) {
 
 func TestMinNsSkipsNoisyTinyBenchmarks(t *testing.T) {
 	dir := t.TempDir()
-	oldB := BenchFile{Benchmarks: []BenchResult{{Name: "Tiny", NsPerOp: 50, AllocsPerOp: 0}}}
-	newB := BenchFile{Benchmarks: []BenchResult{{Name: "Tiny", NsPerOp: 500, AllocsPerOp: 0}}}
+	oldB := benchsuite.BenchFile{Benchmarks: []benchsuite.BenchResult{{Name: "Tiny", NsPerOp: 50, AllocsPerOp: 0}}}
+	newB := benchsuite.BenchFile{Benchmarks: []benchsuite.BenchResult{{Name: "Tiny", NsPerOp: 500, AllocsPerOp: 0}}}
 	old := writeBench(t, dir, "old.json", oldB)
 	new_ := writeBench(t, dir, "new.json", newB)
 
@@ -179,8 +181,8 @@ func TestMinNsSkipsNoisyTinyBenchmarks(t *testing.T) {
 func TestAddedAndRemovedBenchmarksDoNotGate(t *testing.T) {
 	dir := t.TempDir()
 	oldB := baseline()
-	newB := BenchFile{
-		Benchmarks: []BenchResult{
+	newB := benchsuite.BenchFile{
+		Benchmarks: []benchsuite.BenchResult{
 			{Name: "SpMM", NsPerOp: 1_000_000},
 			{Name: "Brand-new", NsPerOp: 9_999_999, AllocsPerOp: 5},
 		},
@@ -210,7 +212,7 @@ func TestBadInputsError(t *testing.T) {
 		t.Error("missing arguments should error")
 	}
 	dir := t.TempDir()
-	empty := writeBench(t, dir, "e.json", BenchFile{GitDescribe: "x"})
+	empty := writeBench(t, dir, "e.json", benchsuite.BenchFile{GitDescribe: "x"})
 	if _, err := run([]string{empty, empty}, &out); err == nil {
 		t.Error("artifact without benchmarks should error")
 	}

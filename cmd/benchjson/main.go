@@ -1,175 +1,41 @@
-// Command benchjson runs the repository's tier-1 benchmarks in-process
-// (via testing.Benchmark) and writes the results as a BENCH_NNNN.json
-// artifact — the machine-readable performance trajectory this repository
-// tracks PR over PR. Committing one file per recorded run lets any
-// future change tell a measured before/after story; see
-// docs/OBSERVABILITY.md for the schema and workflow.
+// Command benchjson runs the repository's benchmark suite
+// (internal/benchsuite) in-process, via testing.Benchmark, and writes
+// the results as a BENCH_NNNN.json artifact — the machine-readable
+// performance trajectory this repository tracks PR over PR. Committing
+// one file per recorded run lets any future change tell a measured
+// before/after story; see docs/OBSERVABILITY.md for the schema and
+// workflow. The rows are the suite's entries, in order, under the names
+// go test prints for them as BenchmarkSuite/<name>.
 //
 // Usage:
 //
-//	benchjson [-out FILE] [-dir DIR] [-bench REGEXP] [-counters]
+//	benchjson [-out FILE] [-dir DIR] [-bench REGEXP] [-count N] [-counters]
 //
 // With no -out, the next free BENCH_NNNN.json number in -dir (default
 // ".") is chosen. -bench filters benchmarks by name. -count (default 3)
 // samples each benchmark several times and records the fastest run, so
-// scheduler-steal spikes on shared machines don't land in the artifact.
-// -counters enables the internal/obs instrumentation during the run and
-// embeds the counter snapshot (e.g. spmm.rows, faultsim.batches) in the
-// artifact.
+// scheduler-steal spikes on shared machines don't land in the artifact;
+// an entry that runs for seconds per op (PaperScaleForward) is sampled
+// once. -counters enables the internal/obs instrumentation during the
+// run and embeds the counter snapshot (e.g. spmm.rows, faultsim.batches)
+// in the artifact.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/circuitgen"
-	"repro/internal/coarsen"
-	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/netlist"
+	"repro/internal/benchsuite"
 	"repro/internal/obs"
-	"repro/internal/opi"
 	"repro/internal/par"
-	"repro/internal/scoap"
-	"repro/internal/serve"
-	"repro/internal/sparse"
-	"repro/internal/tensor"
 )
-
-// BenchResult is one benchmark's measurement in the artifact.
-type BenchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Seconds     float64 `json:"seconds_total"`
-	// GOMAXPROCS at measurement time. The parallel kernels and the
-	// latency-histogram-affecting serving benchmarks scale with it, so
-	// each result records the value it actually ran under (the header
-	// value only describes process start).
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Workers is the parallelism the benchmark's kernels actually ran
-	// with, par.Workers of the requested count: a /workers=T matrix row
-	// records T clamped to min(GOMAXPROCS, NumCPU), so workers=4 on a
-	// 2-CPU host records 2, and every other benchmark (and the "numcpu"
-	// variant) records min(GOMAXPROCS, NumCPU). Artifacts from different
-	// machines thus stay self-describing for all results.
-	Workers int `json:"workers"`
-}
-
-// BenchFile is the serialized artifact: environment identification plus
-// one entry per benchmark, and optionally the obs counter snapshot.
-type BenchFile struct {
-	SchemaVersion int              `json:"schema_version"`
-	Name          string           `json:"name"`
-	CreatedAt     string           `json:"created_at"`
-	GoVersion     string           `json:"go_version"`
-	GOOS          string           `json:"goos"`
-	GOARCH        string           `json:"goarch"`
-	NumCPU        int              `json:"num_cpu"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	GitDescribe   string           `json:"git_describe,omitempty"`
-	Benchmarks    []BenchResult    `json:"benchmarks"`
-	Counters      map[string]int64 `json:"counters,omitempty"`
-}
-
-// tier1 lists the benchmark bodies mirroring the repository-level
-// bench_test.go tier-1 targets, at the same quick scales. Training-heavy
-// table/figure regenerations (fig8, table2, table3) are deliberately
-// excluded from the default artifact: their runtime is dominated by the
-// same SpMM/fault-sim kernels measured here and would make each recorded
-// run minutes long.
-//
-// Entries with parallel=true are the multi-core matrix: they run once
-// per -workers token as Name/workers=T, with the effective worker count
-// recorded in the result's workers field. samples, when non-zero,
-// overrides -count — the paper-scale forward takes seconds per
-// iteration, so one sample keeps a recording session short.
-var tier1 = []struct {
-	name     string
-	fn       func(b *testing.B, workers int)
-	parallel bool
-	samples  int
-}{
-	{name: "Table1DatasetGeneration", fn: ignoreWorkers(benchTable1)},
-	{name: "Fig10MatrixInference", fn: ignoreWorkers(benchMatrixInference)},
-	{name: "Fig10MatrixInferenceF32", fn: ignoreWorkers(benchMatrixInferenceF32)},
-	{name: "Fig10RecursiveInference", fn: ignoreWorkers(benchRecursiveInference)},
-	{name: "PaperScaleForward", fn: ignoreWorkers(benchPaperScaleForward), samples: 1},
-	{name: "AblationCSRMul", fn: ignoreWorkers(benchCSRMul)},
-	{name: "AblationCSRMul32", fn: ignoreWorkers(benchCSRMul32)},
-	{name: "AblationSpMMParallel", fn: ignoreWorkers(benchSpMMParallel)},
-	{name: "AblationSpMM50k", fn: benchSpMM50k, parallel: true},
-	{name: "AblationIncrementalSCOAP", fn: ignoreWorkers(benchIncrementalSCOAP)},
-	{name: "AblationFaultSimulation", fn: ignoreWorkers(benchFaultSimulation)},
-	{name: "OPIFlowFull", fn: ignoreWorkers(benchOPIFlowFull)},
-	{name: "OPIFlowIncremental", fn: ignoreWorkers(benchOPIFlowIncremental)},
-	{name: "OPIFlowCoarseRefine", fn: ignoreWorkers(benchOPIFlowCoarseRefine)},
-	{name: "CoarsenBuild", fn: ignoreWorkers(benchCoarsenBuild)},
-	{name: "CoarsenFineForward", fn: ignoreWorkers(benchCoarsenFineForward)},
-	{name: "CoarsenCoarseForward", fn: ignoreWorkers(benchCoarsenCoarseForward)},
-	{name: "ServeScoreBatched", fn: ignoreWorkers(benchServeScoreBatched)},
-	{name: "ServeScoreSerial", fn: ignoreWorkers(benchServeScoreSerial)},
-	{name: "ObsHistogramObserve", fn: ignoreWorkers(benchObsHistogramObserve)},
-}
-
-// ignoreWorkers adapts a workers-independent benchmark body to the table
-// signature.
-func ignoreWorkers(fn func(*testing.B)) func(*testing.B, int) {
-	return func(b *testing.B, _ int) { fn(b) }
-}
-
-// workerVariant is one point of the multi-core matrix: the label used in
-// the benchmark name and the worker count passed to the benchmark body
-// (0 = GOMAXPROCS).
-type workerVariant struct {
-	label string
-	n     int
-}
-
-// parseWorkers turns the -workers flag ("1,4,0") into matrix points.
-// Token 0 means "all cores" and is labeled numcpu so artifact names stay
-// stable across machines while the workers field records the resolved
-// count.
-func parseWorkers(spec string) ([]workerVariant, error) {
-	var out []workerVariant
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -workers token %q", tok)
-		}
-		label := tok
-		if n == 0 {
-			label = "numcpu"
-		}
-		out = append(out, workerVariant{label: label, n: n})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers is empty")
-	}
-	return out, nil
-}
 
 func main() {
 	out := flag.String("out", "", "output path (default: next free BENCH_NNNN.json in -dir)")
@@ -177,7 +43,6 @@ func main() {
 	pattern := flag.String("bench", "", "regexp filtering benchmark names (default: all)")
 	count := flag.Int("count", 3, "samples per benchmark; the fastest is recorded")
 	counters := flag.Bool("counters", true, "enable internal/obs and embed the counter snapshot")
-	workersSpec := flag.String("workers", "1,4,0", "comma-separated worker counts for the AblationSpMM50k matrix (0 = all cores)")
 	version := flag.Bool("version", false, "print the build's git revision and exit")
 	flag.Parse()
 	if *version {
@@ -193,11 +58,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	matrix, err := parseWorkers(*workersSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
 
 	if *counters {
 		obs.Reset()
@@ -207,7 +67,7 @@ func main() {
 		obs.SetAllocSampling(false)
 	}
 
-	file := &BenchFile{
+	file := &benchsuite.BenchFile{
 		SchemaVersion: 1,
 		Name:          "tier1-bench",
 		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
@@ -219,56 +79,43 @@ func main() {
 		GitDescribe:   obs.GitDescribe(),
 	}
 
-	for _, bm := range tier1 {
-		// Non-matrix benchmarks run once; matrix benchmarks run once per
-		// -workers token under a /workers=T name.
-		variants := []workerVariant{{}}
-		if bm.parallel {
-			variants = matrix
+	for _, e := range benchsuite.All {
+		if filter != nil && !filter.MatchString(e.Name) {
+			continue
 		}
-		for _, wv := range variants {
-			name := bm.name
-			if bm.parallel {
-				name = fmt.Sprintf("%s/workers=%s", bm.name, wv.label)
-			}
-			if filter != nil && !filter.MatchString(name) {
-				continue
-			}
-			samples := *count
-			if bm.samples > 0 {
-				samples = bm.samples
-			}
-			// Matrix variants with an explicit pool size set GOMAXPROCS to
-			// that size, capped at NumCPU, for the duration of the
-			// measurement (restored after). The cap keeps the per-result
-			// gomaxprocs field honest: raising it past the host's cores
-			// would record time-slicing as parallelism, and the kernels
-			// clamp their workers to min(GOMAXPROCS, NumCPU) anyway.
-			restoreProcs := -1
-			if bm.parallel && wv.n > 1 {
-				restoreProcs = runtime.GOMAXPROCS(min(wv.n, runtime.NumCPU()))
-			}
-			fmt.Fprintf(os.Stderr, "running %-40s ", name)
-			// Sample several times and keep the fastest run. On a shared
-			// container, scheduler steal inflates individual samples by tens
-			// of percent; the minimum is the robust estimator of the code's
-			// actual cost (a real regression slows every sample, a steal
-			// spike only some), so recorded artifacts stay comparable across
-			// noisy recording sessions.
-			var res BenchResult
-			for k := 0; k < samples; k++ {
-				r := testing.Benchmark(func(b *testing.B) { bm.fn(b, wv.n) })
-				sample := result(name, r, wv.n)
-				if k == 0 || sample.NsPerOp < res.NsPerOp {
-					res = sample
-				}
-			}
-			if restoreProcs > 0 {
-				runtime.GOMAXPROCS(restoreProcs)
-			}
-			fmt.Fprintf(os.Stderr, "%12.0f ns/op  %d iters  (best of %d)\n", res.NsPerOp, res.Iterations, samples)
-			file.Benchmarks = append(file.Benchmarks, res)
+		samples := *count
+		if e.Long {
+			samples = 1
 		}
+		// A matrix row with an explicit pool size sets GOMAXPROCS to that
+		// size, capped at NumCPU, for the duration of the measurement
+		// (restored after). The cap keeps the per-result gomaxprocs field
+		// honest: raising it past the host's cores would record
+		// time-slicing as parallelism, and the kernels clamp their
+		// workers to min(GOMAXPROCS, NumCPU) anyway.
+		restoreProcs := -1
+		if e.Workers > 1 {
+			restoreProcs = runtime.GOMAXPROCS(min(e.Workers, runtime.NumCPU()))
+		}
+		fmt.Fprintf(os.Stderr, "running %-40s ", e.Name)
+		// Sample several times and keep the fastest run. On a shared
+		// container, scheduler steal inflates individual samples by tens
+		// of percent; the minimum is the robust estimator of the code's
+		// actual cost (a real regression slows every sample, a steal
+		// spike only some), so recorded artifacts stay comparable across
+		// noisy recording sessions.
+		var res benchsuite.BenchResult
+		for k := 0; k < samples; k++ {
+			sample := result(e.Name, testing.Benchmark(e.Run), e.Workers)
+			if k == 0 || sample.NsPerOp < res.NsPerOp {
+				res = sample
+			}
+		}
+		if restoreProcs > 0 {
+			runtime.GOMAXPROCS(restoreProcs)
+		}
+		fmt.Fprintf(os.Stderr, "%12.0f ns/op  %d iters  (best of %d)\n", res.NsPerOp, res.Iterations, samples)
+		file.Benchmarks = append(file.Benchmarks, res)
 	}
 	if len(file.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmarks matched")
@@ -303,8 +150,8 @@ func main() {
 // GOMAXPROCS and Workers are read when the sample is taken, so they are
 // the values the body ran under; workers is the count the body was
 // asked for.
-func result(name string, r testing.BenchmarkResult, workers int) BenchResult {
-	return BenchResult{
+func result(name string, r testing.BenchmarkResult, workers int) benchsuite.BenchResult {
+	return benchsuite.BenchResult{
 		Name:        name,
 		Iterations:  r.N,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -331,401 +178,6 @@ func nextBenchPath(dir string) (string, error) {
 		}
 	}
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%04d.json", max+1)), nil
-}
-
-// --- benchmark bodies (quick scales matching bench_test.go) -----------
-
-func benchTable1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.Table1(experiments.Config{Quick: true, Seed: int64(100 + i)})
-	}
-}
-
-// fig10Setup builds the Figure 10 mid-size point shared by the two
-// inference benchmarks.
-func fig10Setup(seed int64) (*core.Graph, *core.Model) {
-	n := circuitgen.Generate("f10", circuitgen.Config{Seed: seed, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	m := core.MustNewModel(core.DefaultConfig())
-	return g, m
-}
-
-func benchMatrixInference(b *testing.B) {
-	g, m := fig10Setup(1)
-	m.Forward(g) // build CSR once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(g)
-	}
-}
-
-// benchMatrixInferenceF32 is the float32 twin of Fig10MatrixInference:
-// the same 20k-gate design scored through the narrowed-weights forward
-// path (core.Float32Inferencer). The delta between the pair is the
-// artifact's record of what precision narrowing buys on this host.
-func benchMatrixInferenceF32(b *testing.B) {
-	g, m := fig10Setup(1)
-	m.SetFloat32Inference(true)
-	m.PredictProbs(g) // build CSR + narrowed weights once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictProbs(g)
-	}
-}
-
-func benchRecursiveInference(b *testing.B) {
-	g, m := fig10Setup(1)
-	rng := rand.New(rand.NewSource(2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.InferNodeRecursive(g, int32(rng.Intn(g.N)))
-	}
-}
-
-// paperScale lazily builds the ≥1M-cell instance for PaperScaleForward:
-// generation plus SCOAP takes tens of seconds and must be paid once per
-// recording session, not per testing.Benchmark call.
-var paperScale struct {
-	once sync.Once
-	g    *core.Graph
-	m    *core.Model
-}
-
-func paperScaleSetup() (*core.Graph, *core.Model) {
-	paperScale.once.Do(func() {
-		fmt.Fprintf(os.Stderr, "(building paper-scale instance) ")
-		n := circuitgen.Generate("m1", circuitgen.PaperScale(1))
-		paperScale.g = core.FromNetlist(n, scoap.Compute(n))
-		paperScale.m = core.MustNewModel(core.DefaultConfig())
-	})
-	return paperScale.g, paperScale.m
-}
-
-// benchPaperScaleForward: whole-graph matrix inference at the paper's
-// largest reported scale (Table 1 / the right edge of Figure 10).
-func benchPaperScaleForward(b *testing.B) {
-	g, m := paperScaleSetup()
-	m.Forward(g) // build the CSRs and the retained scratch once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(g)
-	}
-}
-
-func benchCSRMul(b *testing.B) {
-	n := circuitgen.Generate("ab1", circuitgen.Config{Seed: 3, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	x := tensor.NewDense(g.N, 32)
-	rng := rand.New(rand.NewSource(1))
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	dst := tensor.NewDense(g.N, 32)
-	csr := g.Pred()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDense(dst, x)
-	}
-}
-
-func benchSpMMParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	coo := sparse.NewCOO(100000, 100000)
-	for i := 0; i < 300000; i++ {
-		coo.Append(int32(rng.Intn(100000)), int32(rng.Intn(100000)), 1)
-	}
-	csr := coo.ToCSR()
-	x := tensor.NewDense(100000, 16)
-	dst := tensor.NewDense(100000, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDenseParallel(dst, x, 0)
-	}
-}
-
-// benchCSRMul32 is the float32 twin of AblationCSRMul: the same
-// 20k-gate adjacency times a dense block, through the f32 SpMM kernel.
-func benchCSRMul32(b *testing.B) {
-	n := circuitgen.Generate("ab1", circuitgen.Config{Seed: 3, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	x := tensor.NewDense32(g.N, 32)
-	rng := rand.New(rand.NewSource(1))
-	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
-	}
-	dst := tensor.NewDense32(g.N, 32)
-	csr := g.Pred()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDense32(dst, x)
-	}
-}
-
-// benchSpMM50k is the nnz-balanced parallel SpMM matrix point: the
-// 50k-gate OPI fixture's adjacency times a 32-column block at each
-// worker count. MulDenseParallel clamps its workers to
-// min(GOMAXPROCS, NumCPU), so on hosts with fewer cores than the matrix
-// asks for, higher-worker rows measure the clamped execution, and their
-// workers field says so.
-func benchSpMM50k(b *testing.B, workers int) {
-	opiBenchSetup()
-	csr := opiBench.g.Pred()
-	x := tensor.NewDense(opiBench.g.N, 32)
-	rng := rand.New(rand.NewSource(7))
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	dst := tensor.NewDense(opiBench.g.N, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDenseParallel(dst, x, workers)
-	}
-}
-
-func benchIncrementalSCOAP(b *testing.B) {
-	n := circuitgen.Generate("ab2", circuitgen.Config{Seed: 4, NumGates: 20000})
-	m := scoap.Compute(n)
-	op, err := n.InsertObservationPoint(int32(n.NumGates() / 3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.UpdateAfterObservationPoint(n, op)
-	}
-}
-
-// opiBench lazily builds the circuitgen.OPIBench workload shared by
-// the insertion-flow and coarsening benchmarks, mirroring
-// bench_test.go's cached setup.
-var opiBench struct {
-	once  sync.Once
-	n     *netlist.Netlist
-	meas  *scoap.Measures
-	g     *core.Graph
-	model *core.Model
-	thr   float64
-}
-
-func opiBenchSetup() {
-	opiBench.once.Do(func() {
-		n := circuitgen.Generate("opif", circuitgen.OPIBench(0))
-		meas := scoap.Compute(n)
-		g := core.FromNetlist(n, meas)
-		model := core.MustNewModel(core.DefaultConfig())
-		probs := append([]float64(nil), model.PredictProbs(g)...)
-		sort.Float64s(probs)
-		opiBench.n, opiBench.meas, opiBench.g, opiBench.model = n, meas, g, model
-		opiBench.thr = probs[int(0.995*float64(len(probs)-1))]
-	})
-}
-
-// opiFlowBench mirrors the bench_test.go full-vs-incremental insertion
-// flow pair: identical predict→rank→insert work on the same design, with
-// only the inference strategy differing.
-func opiFlowBench(b *testing.B, disableIncremental bool) {
-	opiBenchSetup()
-	cfg := opi.FlowConfig{
-		Threshold:          opiBench.thr,
-		PerIteration:       2,
-		MaxIterations:      16,
-		DisableIncremental: disableIncremental,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fn, fm, fg := opiBench.n.Clone(), opiBench.meas.Clone(), opiBench.g.Clone()
-		b.StartTimer()
-		opi.RunFlow(fn, fm, fg, opiBench.model, cfg)
-	}
-}
-
-func benchOPIFlowFull(b *testing.B) { opiFlowBench(b, true) }
-
-func benchOPIFlowIncremental(b *testing.B) { opiFlowBench(b, false) }
-
-// benchOPIFlowCoarseRefine mirrors BenchmarkOPIFlowCoarseRefine: the
-// coarse-then-refine flow on the identical workload and schedule, with
-// the threshold percentile taken over the coarse score distribution.
-func benchOPIFlowCoarseRefine(b *testing.B) {
-	opiBenchSetup()
-	copt := coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25}
-	c, err := coarsen.New(opiBench.n, copt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs := append([]float64(nil), opiBench.model.PredictProbs(c.ProjectGraph(opiBench.g))...)
-	sort.Float64s(probs)
-	cfg := opi.CoarseRefineConfig{
-		Coarsen: copt,
-		Flow: opi.FlowConfig{
-			Threshold:     probs[int(0.995*float64(len(probs)-1))],
-			PerIteration:  2,
-			MaxIterations: 16,
-		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fn, fm, fg := opiBench.n.Clone(), opiBench.meas.Clone(), opiBench.g.Clone()
-		b.StartTimer()
-		if _, err := opi.RunCoarseRefine(fn, fm, fg, opiBench.model, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCoarsenBuild is the one-time clustering cost on the 50k design.
-func benchCoarsenBuild(b *testing.B) {
-	opiBenchSetup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coarsen.New(opiBench.n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCoarsenCoarseForward is one forward pass on the FFR-0.25
-// projection of the 50k design; compare with CoarsenFineForward for
-// the per-inference saving.
-func benchCoarsenCoarseForward(b *testing.B) {
-	opiBenchSetup()
-	c, err := coarsen.New(opiBench.n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cg := c.ProjectGraph(opiBench.g)
-	opiBench.model.Forward(cg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opiBench.model.Forward(cg)
-	}
-}
-
-func benchCoarsenFineForward(b *testing.B) {
-	opiBenchSetup()
-	opiBench.model.Forward(opiBench.g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opiBench.model.Forward(opiBench.g)
-	}
-}
-
-func benchFaultSimulation(b *testing.B) {
-	n := circuitgen.Generate("ab3", circuitgen.Config{Seed: 5, NumGates: 50000})
-	sim := fault.NewSimulator(n)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Batch(rng)
-	}
-}
-
-// serveScoreBench mirrors the repository-level serving benchmark pair:
-// one burst of 6 concurrent /v1/score requests per iteration for a
-// previously-unseen 30k-gate design (a unique leading comment defeats
-// the cache across iterations). Batched coalesces the burst into one
-// compile; serial pays one per request.
-func serveScoreBench(b *testing.B, batched bool) {
-	const fanout = 6
-	n := circuitgen.Generate("srv", circuitgen.Config{Seed: 11, NumGates: 30000})
-	var buf bytes.Buffer
-	if err := netlist.Write(&buf, n); err != nil {
-		b.Fatal(err)
-	}
-	base := buf.String()
-
-	opts := serve.Options{
-		Predictor:     core.MustNewModel(core.DefaultConfig()),
-		MaxConcurrent: fanout,
-		MaxQueue:      fanout,
-		CacheEntries:  2,
-	}
-	if !batched {
-		opts.DisableBatching = true
-		opts.CacheEntries = -1
-	}
-	srv, err := serve.New(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		body, err := json.Marshal(serve.ScoreRequest{Netlist: fmt.Sprintf("# iter%d\n%s", i, base)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		var wg sync.WaitGroup
-		errs := make(chan error, fanout)
-		for r := 0; r < fanout; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := client.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					errs <- fmt.Errorf("status %d", resp.StatusCode)
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchServeScoreBatched(b *testing.B) { serveScoreBench(b, true) }
-
-func benchServeScoreSerial(b *testing.B) { serveScoreBench(b, false) }
-
-// benchObsHistogramObserve measures the quantile sketch's hot path: one
-// enabled Observe including the log-linear bucket-index computation that
-// /snapshot p50/p95/p99 and the /metrics buckets are derived from. Every
-// serving latency sample pays this cost.
-func benchObsHistogramObserve(b *testing.B) {
-	wasEnabled := obs.Enabled()
-	obs.Enable()
-	h := obs.GetHistogram("bench.quantile_sketch")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe((int64(i) * 2654435761) & (1<<30 - 1))
-	}
-	b.StopTimer()
-	if !wasEnabled {
-		obs.Disable()
-	}
 }
 
 // revision is the -version payload: `git describe --always --dirty`

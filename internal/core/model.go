@@ -237,15 +237,13 @@ func (m *Model) backward(g *Graph, cache *forwardCache, dlogits *tensor.Dense) {
 			break // no gradient needed past the input attributes
 		}
 		// dE_{d-1} = dG + wpr·Pᵀ·dG + wsu·Sᵀ·dG, and Pᵀ = S, Sᵀ = P.
-		// tmp is pure scratch for the two transpose products — pooled,
-		// unlike dprev which escapes as the next iteration's grad.
-		tmp := tensor.GetDense(g.N, dagg.Cols)
+		// tmp holds each transpose product in turn.
+		tmp := tensor.NewDense(g.N, dagg.Cols)
 		S.MulDenseParallel(tmp, dagg, 0)
 		dprev := dagg.Clone()
 		dprev.AxpyInPlace(wpr, tmp)
 		P.MulDenseParallel(tmp, dagg, 0)
 		dprev.AxpyInPlace(wsu, tmp)
-		tensor.PutDense(tmp)
 		grad = dprev
 	}
 	// Ablated aggregation directions stay frozen at zero.

@@ -71,12 +71,6 @@ type FlowConfig struct {
 	// ExactImpactCap limits exact evaluation to small candidate sets;
 	// default 64.
 	ExactImpactCap int
-	// FullEvery re-runs full inference every FullEvery iterations when
-	// the predictor supports incremental updates, discarding the cached
-	// embeddings — an escape hatch against cache drift. 0 (the default)
-	// means never: the cache is trusted for the whole flow, which the
-	// equivalence tests justify.
-	FullEvery int
 	// DisableIncremental forces a full inference pass every iteration
 	// even for predictors implementing core.IncrementalPredictor; used by
 	// the equivalence tests and the full-vs-incremental benchmarks.
@@ -127,7 +121,7 @@ type FlowResult struct {
 // the predictor's cached-embedding update, whose cost is bounded by the
 // D-hop neighborhood of the mutations instead of the whole graph
 // (Section 3.4's efficiency argument applied to the Section 4 loop).
-// FlowConfig.FullEvery periodically discards the cache;
+// An update is == to a full pass, so the cache is never refreshed;
 // FlowConfig.DisableIncremental opts out entirely.
 func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predictor, cfg FlowConfig) FlowResult {
 	span := obs.StartSpan("opi")
@@ -151,7 +145,7 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 		case !incremental:
 			opiFullInfer.Inc()
 			probs = pred.PredictProbs(g)
-		case run == nil || (cfg.FullEvery > 0 && iter%cfg.FullEvery == 0):
+		case run == nil:
 			opiFullInfer.Inc()
 			run = ip.NewIncremental(g)
 			dirty = dirty[:0]

@@ -83,11 +83,12 @@ func TestFloat32ScoringFallback(t *testing.T) {
 	}
 }
 
-// TestConcurrentFloat32ScoringRace hammers the pooled scratch layers —
-// tensor's size-class pools and sparse's dedup/conversion scratch —
-// from concurrent f32 score requests. Caching and batching are disabled
-// so every request pays a full compile and forward pass through the
-// shared sync.Pools; the race detector is the assertion.
+// TestConcurrentFloat32ScoringRace hammers the shared scratch — the
+// retained tensor.Scratch set, the inference tile sets and sparse's
+// dedup/conversion scratch — from concurrent f32 score requests.
+// Caching and batching are disabled so every request pays a full
+// compile and forward pass through it; the race detector is the
+// assertion.
 func TestConcurrentFloat32ScoringRace(t *testing.T) {
 	pred := core.MustNewModel(core.DefaultConfig())
 	_, ts := newTestServer(t, Options{

@@ -111,21 +111,6 @@ func TestScratchRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNilScratchIsTheSharedPool: head() and the incremental session pass
-// a nil set to draw from the shared pool.
-func TestNilScratchIsTheSharedPool(t *testing.T) {
-	var s *Scratch[float64]
-	d := s.Get(3, 7)
-	if d.Rows != 3 || d.Cols != 7 || len(d.Data) != 21 {
-		t.Fatalf("nil Scratch Get shape %d×%d len %d", d.Rows, d.Cols, len(d.Data))
-	}
-	if cap(d.Data) < 32 {
-		t.Fatalf("nil Scratch Get cap %d, want the shared pool's power-of-two class (≥ 32)", cap(d.Data))
-	}
-	s.Put(d)
-	s.Put(nil)
-}
-
 // BenchmarkScratchPass measures a warm pass: acquire, three buffers,
 // release. It must not allocate.
 func BenchmarkScratchPass(b *testing.B) {
