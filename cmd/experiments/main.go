@@ -9,8 +9,10 @@
 // -run selects a comma-separated subset of
 // table1,fig8,table2,fig9,fig10,table3 (default: all). Three heavier
 // studies are opt-in only: ablation (cascade depth), coarsen (the
-// internal/coarsen speed/accuracy grid) and coarserefine (the 50k-gate
-// exact-vs-coarse-refine OPI head-to-head; size via -coarserefine-gates).
+// internal/coarsen ratio/F1/speed grid) and coarserefine (the
+// exact-vs-coarse-refine OPI head-to-head on the circuitgen.OPIBench
+// design at -size gates, 0 for its 50k preset, generated and trained
+// with -seed).
 //
 // -manifest enables the observability layer (internal/obs) and writes a
 // run manifest — span tree, counters, environment — to the given path
@@ -56,7 +58,6 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 42, "global seed")
 	quick := fs.Bool("quick", false, "shrink everything for a fast smoke run")
 	runSel := fs.String("run", "all", "comma-separated experiments: table1,fig8,table2,fig9,fig10,table3,ablation,coarsen,coarserefine (ablation, coarsen and coarserefine are opt-in, not part of all)")
-	crGates := fs.Int("coarserefine-gates", 0, "design size for the coarserefine head-to-head (0 = 50k benchmark preset)")
 	manifest := fs.String("manifest", "", "enable instrumentation and write a run manifest JSON to this path")
 	trace := fs.String("trace", "", "enable span tracing and write a Chrome Trace Event JSON to this path")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof, /metrics and /snapshot on this address (e.g. localhost:6060)")
@@ -117,7 +118,7 @@ func run(args []string, stdout io.Writer) error {
 	step("table3", func() { r := experiments.Table3(cfg); r.Fprint(stdout) })
 	step("ablation", func() { r := experiments.StageAblation(cfg, 4); r.Fprint(stdout) })
 	step("coarsen", func() { r := experiments.CoarsenGrid(cfg); r.Fprint(stdout) })
-	step("coarserefine", func() { r := experiments.CompareCoarseRefine(*crGates); r.Fprint(stdout) })
+	step("coarserefine", func() { r := experiments.CompareCoarseRefine(cfg); r.Fprint(stdout) })
 
 	if *manifest != "" {
 		if err := obs.WriteManifest(*manifest, "experiments", map[string]any{

@@ -13,8 +13,6 @@
 //	gcntest infer  -model model.gob design.bench
 //	gcntest insert -model model.gob -out modified.bench design.bench
 //	gcntest eval   design.bench [-patterns N] [-atpg]
-//	gcntest bist   design.bench [-patterns N] [-seed N]
-//	gcntest cpinsert -out modified.bench design.bench [-epsilon F]
 //
 // Global flags (before the subcommand):
 //
@@ -35,7 +33,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 
-	"repro/internal/bist"
 	"repro/internal/circuitgen"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -91,10 +88,6 @@ func main() {
 		err = cmdInsert(args[1:])
 	case "eval":
 		err = cmdEval(args[1:])
-	case "bist":
-		err = cmdBist(args[1:])
-	case "cpinsert":
-		err = cmdCPInsert(args[1:])
 	default:
 		usage()
 	}
@@ -121,7 +114,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: gcntest [-manifest out.json] [-trace out.json] [-pprof addr] <gen|stats|label|train|infer|insert|eval|bist|cpinsert> [flags] [files]`)
+	fmt.Fprintln(os.Stderr, `usage: gcntest [-manifest out.json] [-trace out.json] [-pprof addr] <gen|stats|label|train|infer|insert|eval> [flags] [files]`)
 	os.Exit(2)
 }
 
@@ -341,49 +334,6 @@ func cmdEval(args []string) error {
 	ev := opi.Evaluate(n, tpg)
 	fmt.Printf("observation points: %d\ntest patterns     : %d\nfault coverage    : %.2f%%\n",
 		ev.OPs, ev.Patterns, 100*ev.Coverage)
-	return nil
-}
-
-func cmdBist(args []string) error {
-	fs := flag.NewFlagSet("bist", flag.ExitOnError)
-	patterns := fs.Int("patterns", 4096, "LFSR pattern budget")
-	seed := fs.Uint64("seed", 0xACE1, "LFSR seed (nonzero)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("bist needs one netlist file")
-	}
-	n, err := netlist.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	res, err := bist.RunSession(n, bist.SessionConfig{Patterns: *patterns, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("LFSR patterns   : %d\nstuck-at coverage: %.2f%% (%d/%d)\ngolden signature : %016x\n",
-		res.Patterns, 100*res.Coverage, res.Detected, res.Total, res.Signature)
-	return nil
-}
-
-func cmdCPInsert(args []string) error {
-	fs := flag.NewFlagSet("cpinsert", flag.ExitOnError)
-	out := fs.String("out", "modified.bench", "output netlist path")
-	epsilon := fs.Float64("epsilon", 0.01, "signal probability band")
-	perRound := fs.Int("perround", 32, "insertions per round")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("cpinsert needs one netlist file")
-	}
-	n, err := netlist.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	res := opi.ControllabilityGreedy(n, opi.CPFlowConfig{Epsilon: *epsilon, PerRound: *perRound})
-	if err := netlist.WriteFile(*out, res.Netlist); err != nil {
-		return err
-	}
-	fmt.Printf("inserted %d CP0 and %d CP1 control points in %d rounds; wrote %s\n",
-		res.CP0s, res.CP1s, res.Rounds, *out)
 	return nil
 }
 

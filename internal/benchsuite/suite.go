@@ -353,13 +353,13 @@ func opiFlow(b *testing.B, disableIncremental bool) {
 // with comparable positive fractions.
 func opiFlowCoarseRefine(b *testing.B) {
 	w := opiBench()
-	copt := coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25}
-	c, err := coarsen.New(w.n, copt)
+	const ratio = 0.25
+	c, err := coarsen.New(w.n, ratio)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := opi.CoarseRefineConfig{
-		Coarsen: copt,
+		Ratio: ratio,
 		Flow: opi.FlowConfig{
 			Threshold:     percentile995(w.model.PredictProbs(c.ProjectGraph(w.g))),
 			PerIteration:  2,
@@ -379,14 +379,14 @@ func opiFlowCoarseRefine(b *testing.B) {
 }
 
 // coarsenBuild is the one-time cost of clustering the 50k design into
-// FFR supernodes and emitting the reduced netlist — the entry fee every
-// coarse-graph consumer pays once per design.
+// FFR supernodes — the entry fee every coarse-graph consumer pays once
+// per design.
 func coarsenBuild(b *testing.B) {
 	w := opiBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coarsen.New(w.n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25}); err != nil {
+		if _, err := coarsen.New(w.n, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -403,7 +403,7 @@ func coarsenFineForward(b *testing.B) {
 
 func coarsenCoarseForward(b *testing.B) {
 	w := opiBench()
-	c, err := coarsen.New(w.n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25})
+	c, err := coarsen.New(w.n, 0.25)
 	if err != nil {
 		b.Fatal(err)
 	}

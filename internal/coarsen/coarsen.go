@@ -3,24 +3,19 @@
 // (the CTS-Bench question applied to this reproduction: how much F1 and
 // fault coverage does each unit of node reduction cost?).
 //
-// Two structure-aware strategies are provided. FFR clusters each
-// fanout-free region — a maximal tree of cells whose outputs feed
-// exactly one load — into one supernode: inside an FFR every cell's
-// value propagates through the same single path to the region head, so
-// the cells share observability structure and collapse with little
-// information loss. LevelCollapse cuts the (structural level, id)
-// sorted cell order into fixed-size groups, the blunt baseline that
-// ignores structure and exposes how much FFR's structure awareness is
-// worth.
+// New clusters each fanout-free region (FFR) — a maximal tree of cells
+// whose outputs feed exactly one load — into one supernode: inside an
+// FFR every cell's value propagates through the same single path to the
+// region head, so the cells share observability structure and collapse
+// with little information loss.
 //
-// Both strategies produce a deterministic, invertible cell→supernode
-// mapping whose supernode numbering is topological (every cross-region
-// wire points from a lower to a higher supernode id), a reduced
-// netlist-compatible supergraph, feature projection onto supernodes
-// (ProjectGraph) and score lifting back to member cells (Lift). At
-// ratio 1.0 both strategies degenerate to the identity mapping and the
-// projected graph is bit-identical to the fine graph — the anchor
-// invariant the refcheck differential suite enforces.
+// The result is a deterministic, invertible cell→supernode mapping whose
+// supernode numbering is topological (every cross-region wire points
+// from a lower to a higher supernode id), feature projection onto
+// supernodes (ProjectGraph) and score lifting back to member cells
+// (Lift). At ratio 1.0 the mapping is the identity and the projected
+// graph is bit-identical to the fine graph — the anchor invariant the
+// refcheck differential suite enforces.
 package coarsen
 
 import (
@@ -40,68 +35,9 @@ var (
 	coarsenLifts      = obs.GetCounter("coarsen.lifts")
 )
 
-// Strategy selects how cells are clustered into supernodes.
-type Strategy int
-
-const (
-	// FFR merges each fanout-free region — every cell whose output
-	// feeds exactly one load joins its load's region — into one
-	// supernode, up to the size cap implied by Ratio. Boundary cells
-	// (Input, Output, DFF, Obs) always stay singletons, preserving the
-	// PI/PO/scan/observation-point structure of the design.
-	FFR Strategy = iota
-	// LevelCollapse sorts cells by (structural level, id) and cuts the
-	// order into contiguous groups of ⌈1/Ratio⌉ cells, the
-	// structure-blind baseline. Boundary cells stay singletons.
-	LevelCollapse
-)
-
-// String names the strategy for errors, logs and reports.
-func (s Strategy) String() string {
-	switch s {
-	case FFR:
-		return "ffr"
-	case LevelCollapse:
-		return "level-collapse"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
-
-// Options configures New.
-type Options struct {
-	// Strategy selects the clustering scheme (default FFR).
-	Strategy Strategy
-	// Ratio is the target supernode/cell ratio in (0, 1]: 1.0 keeps
-	// every cell (identity), 0.25 aims at a 4× reduction. The achieved
-	// ratio may be higher — FFR cannot merge past fanout-free-region
-	// boundaries and no strategy merges boundary cells — and is
-	// reported by Coarsening.AchievedRatio.
-	Ratio float64
-}
-
-func (o Options) validate() error {
-	if o.Strategy != FFR && o.Strategy != LevelCollapse {
-		return fmt.Errorf("coarsen: unknown strategy %v", o.Strategy)
-	}
-	if !(o.Ratio > 0 && o.Ratio <= 1) || math.IsNaN(o.Ratio) {
-		return fmt.Errorf("coarsen: ratio %v outside (0, 1]", o.Ratio)
-	}
-	return nil
-}
-
-// groupCap converts the ratio into the maximum cells per supernode.
-func (o Options) groupCap() int {
-	return int(math.Ceil(1/o.Ratio - 1e-9))
-}
-
 // Coarsening is the result of clustering a netlist: the invertible
-// cell→supernode mapping and the reduced supergraph.
+// cell→supernode mapping.
 type Coarsening struct {
-	// Strategy and Ratio record the options the coarsening was built
-	// with.
-	Strategy Strategy
-	Ratio    float64
 	// Owner maps each fine cell id to its supernode id. Supernode ids
 	// are topological: every fine wire u→v has Owner[u] <= Owner[v],
 	// with equality exactly for region-internal wires.
@@ -109,12 +45,6 @@ type Coarsening struct {
 	// Members inverts Owner: Members[s] lists the fine cells of
 	// supernode s in ascending id order.
 	Members [][]int32
-	// Super is the reduced netlist: one cell per supernode, cross-
-	// region wires preserved with multiplicity, boundary cells kept
-	// with their fine type, merged logic regions represented by their
-	// head cell's type (or a legal substitute when the merged fanin
-	// arity no longer fits it).
-	Super *netlist.Netlist
 }
 
 // NumFine returns the fine cell count.
@@ -124,7 +54,7 @@ func (c *Coarsening) NumFine() int { return len(c.Owner) }
 func (c *Coarsening) NumSuper() int { return len(c.Members) }
 
 // AchievedRatio returns supernodes/cells, the reduction actually
-// realized (>= the requested Ratio).
+// realized (>= the requested ratio).
 func (c *Coarsening) AchievedRatio() float64 {
 	if len(c.Owner) == 0 {
 		return 1
@@ -143,33 +73,30 @@ func boundary(t netlist.GateType) bool {
 	return false
 }
 
-// New clusters n under opt. The result is deterministic: the same
-// netlist and options always produce the same Coarsening.
-func New(n *netlist.Netlist, opt Options) (*Coarsening, error) {
+// New clusters n into fanout-free regions of at most ⌈1/ratio⌉ cells.
+// ratio is the target supernode/cell ratio in (0, 1]: 1.0 keeps every
+// cell (identity), 0.25 aims at a 4× reduction. The achieved ratio may
+// be higher — regions cannot merge past fanout boundaries and boundary
+// cells (Input, Output, DFF, Obs) always stay singletons — and is
+// reported by Coarsening.AchievedRatio. The result is deterministic: the
+// same netlist and ratio always produce the same Coarsening.
+func New(n *netlist.Netlist, ratio float64) (*Coarsening, error) {
 	if n == nil {
 		return nil, fmt.Errorf("coarsen: nil netlist")
 	}
-	if err := opt.validate(); err != nil {
-		return nil, err
+	if !(ratio > 0 && ratio <= 1) {
+		return nil, fmt.Errorf("coarsen: ratio %v outside (0, 1]", ratio)
 	}
 	var owner []int32
-	if cap := opt.groupCap(); cap <= 1 {
-		// Ratio 1.0: both strategies degenerate to the identity
-		// mapping, which keeps the supergraph (and everything derived
-		// from it) bit-identical to the fine pipeline.
+	if cap := int(math.Ceil(1/ratio - 1e-9)); cap <= 1 {
+		// Ratio 1.0 degenerates to the identity mapping, which keeps the
+		// projected graph (and everything derived from it) bit-identical
+		// to the fine pipeline.
 		owner = identityOwners(n)
 	} else {
-		switch opt.Strategy {
-		case FFR:
-			owner = ffrOwners(n, cap)
-		case LevelCollapse:
-			owner = levelCollapseOwners(n, cap)
-		}
+		owner = ffrOwners(n, cap)
 	}
-	c := &Coarsening{Strategy: opt.Strategy, Ratio: opt.Ratio, Owner: owner}
-	if err := c.buildSuper(n); err != nil {
-		return nil, err
-	}
+	c := &Coarsening{Owner: owner, Members: members(owner)}
 	coarsenBuilds.Inc()
 	coarsenSupernodes.Add(int64(c.NumSuper()))
 	return c, nil
@@ -236,152 +163,29 @@ func ffrOwners(n *netlist.Netlist, cap int) []int32 {
 	return owner
 }
 
-// structuralLevels computes the edge-strict level of every cell: 0 for
-// cells with no fanin, otherwise 1 + the maximum fanin level. Unlike
-// netlist.Levels (where a scan flip-flop restarts at level 0 despite
-// having a fanin wire), this level is monotone along every wire, which
-// is what makes level-sorted grouping topological.
-func structuralLevels(n *netlist.Netlist) []int32 {
-	lv := make([]int32, n.NumGates())
-	for v := int32(0); v < int32(n.NumGates()); v++ {
-		best := int32(-1)
-		for _, f := range n.Fanin(v) {
-			if lv[f] > best {
-				best = lv[f]
-			}
-		}
-		lv[v] = best + 1
-	}
-	return lv
-}
-
-// levelCollapseOwners cuts the (structural level, id)-sorted cell
-// order into contiguous groups of up to cap cells. A boundary cell
-// closes the running group and takes a singleton, so groups never span
-// a boundary cell's position. Cross wires always point forward in the
-// sorted order (levels are edge-strict), so position-ordered group
-// numbering is topological.
-func levelCollapseOwners(n *netlist.Netlist, cap int) []int32 {
-	num := n.NumGates()
-	lv := structuralLevels(n)
-	maxLv := int32(0)
-	for _, l := range lv {
-		if l > maxLv {
-			maxLv = l
-		}
-	}
-	// Counting sort by level; ids ascend within a level because cells
-	// are visited in id order, making the order (level, id).
-	counts := make([]int32, maxLv+2)
-	for _, l := range lv {
-		counts[l+1]++
-	}
-	for i := int32(1); i <= maxLv+1; i++ {
-		counts[i] += counts[i-1]
-	}
-	order := make([]int32, num)
-	for v := int32(0); v < int32(num); v++ {
-		order[counts[lv[v]]] = v
-		counts[lv[v]]++
-	}
-	owner := make([]int32, num)
-	next := int32(0)
-	inGroup := 0
-	for _, v := range order {
-		if boundary(n.Type(v)) {
-			if inGroup > 0 {
-				next++ // close the running logic group
-				inGroup = 0
-			}
-			owner[v] = next
-			next++
-			continue
-		}
-		if inGroup == cap {
-			next++
-			inGroup = 0
-		}
-		owner[v] = next
-		inGroup++
-	}
-	return owner
-}
-
-// buildSuper inverts Owner into Members and emits the reduced
-// netlist. Supernodes are visited in id order (which is topological),
-// so AddGate's fanin-before-gate requirement holds by construction.
-func (c *Coarsening) buildSuper(n *netlist.Netlist) error {
-	num := len(c.Owner)
+// members inverts owner: supernode s lists its cells in ascending id
+// order. Owner ids are contiguous from 0, so no supernode is empty.
+func members(owner []int32) [][]int32 {
 	m := 0
-	for _, s := range c.Owner {
+	for _, s := range owner {
 		if int(s) >= m {
 			m = int(s) + 1
 		}
 	}
-	c.Members = make([][]int32, m)
-	for v := 0; v < num; v++ {
-		s := c.Owner[v]
-		c.Members[s] = append(c.Members[s], int32(v))
+	out := make([][]int32, m)
+	for v, s := range owner {
+		out[s] = append(out[s], int32(v))
 	}
-	super := netlist.New(n.Name + ".coarse")
-	var fanin []int32
-	for s := 0; s < m; s++ {
-		members := c.Members[s]
-		if len(members) == 0 {
-			return fmt.Errorf("coarsen: supernode %d has no members", s)
-		}
-		// External fanin pins: member pin order, region-internal wires
-		// dropped, multiplicity preserved. For singletons this is the
-		// fine pin list mapped through Owner.
-		fanin = fanin[:0]
-		for _, v := range members {
-			for _, f := range n.Fanin(v) {
-				if fs := c.Owner[f]; fs != int32(s) {
-					fanin = append(fanin, fs)
-				}
-			}
-		}
-		t, name := superCell(n, members, len(fanin))
-		if _, err := super.AddGate(t, name, fanin...); err != nil {
-			return fmt.Errorf("coarsen: supernode %d: %w", s, err)
-		}
-	}
-	c.Super = super
-	return nil
-}
-
-// superCell picks the reduced cell's type and name. Singletons keep
-// their fine identity. A merged region is represented by its head (its
-// maximum-id member, the unique cell with outgoing cross wires); when
-// the merged external arity no longer fits the head's type, the
-// nearest legal stand-in is used — Buf for one pin, And otherwise.
-func superCell(n *netlist.Netlist, members []int32, arity int) (netlist.GateType, string) {
-	rep := members[len(members)-1]
-	t := n.Type(rep)
-	name := n.Gate(rep).Name
-	if len(members) == 1 {
-		return t, name
-	}
-	if min := t.MinFanin(); arity < min {
-		t = netlist.Buf
-	}
-	if max := t.MaxFanin(); max >= 0 && arity > max {
-		t = netlist.And
-	}
-	return t, name
+	return out
 }
 
 // Validate checks the coarsening invariants against the netlist it
 // was built from: Owner a total map onto contiguous supernode ids,
 // Members the exact sorted inverse, cross wires monotone in supernode
-// id, boundary cells singletons with their fine type preserved, and
-// the supergraph structurally valid. Intended for tests and fuzzing.
+// id, and boundary cells singletons. Intended for tests and fuzzing.
 func (c *Coarsening) Validate(n *netlist.Netlist) error {
 	if len(c.Owner) != n.NumGates() {
 		return fmt.Errorf("coarsen: Owner covers %d of %d cells", len(c.Owner), n.NumGates())
-	}
-	if c.Super == nil || c.Super.NumGates() != len(c.Members) {
-		return fmt.Errorf("coarsen: supergraph/Members size mismatch")
 	}
 	seen := make([]bool, n.NumGates())
 	for s, members := range c.Members {
@@ -411,10 +215,6 @@ func (c *Coarsening) Validate(n *netlist.Netlist) error {
 				}
 			}
 		}
-		if len(members) == 1 && c.Super.Type(int32(s)) != n.Type(members[0]) {
-			return fmt.Errorf("coarsen: singleton supernode %d type %s, fine cell %d is %s",
-				s, c.Super.Type(int32(s)), members[0], n.Type(members[0]))
-		}
 	}
 	for v, ok := range seen {
 		if !ok {
@@ -429,22 +229,7 @@ func (c *Coarsening) Validate(n *netlist.Netlist) error {
 			}
 		}
 	}
-	// Cross-wire preservation: each supernode's external pin count in
-	// the supergraph must equal the fine cross-pin count.
-	for s := range c.Members {
-		want := 0
-		for _, v := range c.Members[s] {
-			for _, f := range n.Fanin(v) {
-				if c.Owner[f] != int32(s) {
-					want++
-				}
-			}
-		}
-		if got := len(c.Super.Fanin(int32(s))); got != want {
-			return fmt.Errorf("coarsen: supernode %d has %d pins, fine cross wires %d", s, got, want)
-		}
-	}
-	return c.Super.Validate()
+	return nil
 }
 
 // ProjectGraph aggregates the fine GCN graph onto the supernodes:
@@ -503,22 +288,18 @@ func (c *Coarsening) ProjectGraph(g *core.Graph) *core.Graph {
 // coarse side so a live coarsening can track the OPI flow without being
 // rebuilt. It must be called after the fine netlist inserted its Obs
 // cell on target: the new fine cell (id len(Owner) at call time) becomes
-// a fresh singleton supernode holding an Obs cell in the supergraph, and
-// cg — the projected graph — receives the matching node and edge. An Obs
-// cell is a boundary singleton with the paper's fixed initial attributes,
-// so the mirrored insertion keeps cg exactly equal to ProjectGraph of
-// the updated fine graph (attribute refreshes inside the fan-in cone are
-// the caller's job; see ReprojectRow). Returns the new supernode id.
+// a fresh singleton supernode, and cg — the projected graph — receives
+// the matching node and edge. An Obs cell is a boundary singleton with
+// the paper's fixed initial attributes, so the mirrored insertion keeps
+// cg exactly equal to ProjectGraph of the updated fine graph (attribute
+// refreshes inside the fan-in cone are the caller's job; see
+// ReprojectRow). Returns the new supernode id.
 func (c *Coarsening) AddObservationPoint(cg *core.Graph, target int32) (int32, error) {
 	if target < 0 || int(target) >= len(c.Owner) {
 		return -1, fmt.Errorf("coarsen: observation target %d outside fine range %d", target, len(c.Owner))
 	}
-	s := c.Owner[target]
-	opSuper, err := c.Super.InsertObservationPoint(s)
-	if err != nil {
-		return -1, err
-	}
-	cg.AddObservationPoint(s)
+	opSuper := int32(len(c.Members))
+	cg.AddObservationPoint(c.Owner[target])
 	c.Owner = append(c.Owner, opSuper)
 	c.Members = append(c.Members, []int32{int32(len(c.Owner) - 1)})
 	return opSuper, nil

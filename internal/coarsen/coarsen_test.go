@@ -23,36 +23,19 @@ func testNetlist(t *testing.T, seed int64, gates int) *netlist.Netlist {
 
 func TestOptionsRejected(t *testing.T) {
 	n := testNetlist(t, 1, 200)
-	cases := []Options{
-		{Strategy: FFR, Ratio: 0},
-		{Strategy: FFR, Ratio: -0.5},
-		{Strategy: FFR, Ratio: 1.5},
-		{Strategy: FFR, Ratio: math.NaN()},
-		{Strategy: Strategy(9), Ratio: 0.5},
-	}
-	for _, opt := range cases {
-		if _, err := New(n, opt); err == nil {
-			t.Errorf("New accepted invalid options %+v", opt)
+	for _, ratio := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if _, err := New(n, ratio); err == nil {
+			t.Errorf("New accepted invalid ratio %v", ratio)
 		}
 	}
-	if _, err := New(nil, Options{Strategy: FFR, Ratio: 0.5}); err == nil {
+	if _, err := New(nil, 0.5); err == nil {
 		t.Error("New accepted a nil netlist")
 	}
 }
 
-func TestStrategyString(t *testing.T) {
-	if FFR.String() != "ffr" || LevelCollapse.String() != "level-collapse" {
-		t.Errorf("strategy names: %q, %q", FFR, LevelCollapse)
-	}
-	if Strategy(7).String() == "" {
-		t.Error("unknown strategy has empty name")
-	}
-}
-
-// TestIdentityRatio is the anchor invariant: at ratio 1.0 both
-// strategies must produce the identity mapping, a structurally equal
-// supergraph, and a projected graph whose inference is bit-identical
-// to the fine pipeline.
+// TestIdentityRatio is the anchor invariant: at ratio 1.0 the
+// coarsening must be the identity mapping and the projected graph's
+// inference bit-identical to the fine pipeline.
 func TestIdentityRatio(t *testing.T) {
 	n := testNetlist(t, 7, 600)
 	meas := scoap.Compute(n)
@@ -63,50 +46,34 @@ func TestIdentityRatio(t *testing.T) {
 	}
 	want := m.PredictProbs(g)
 
-	for _, strat := range []Strategy{FFR, LevelCollapse} {
-		c, err := New(n, Options{Strategy: strat, Ratio: 1.0})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	c, err := New(n, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(n); err != nil {
+		t.Fatal(err)
+	}
+	if c.NumSuper() != n.NumGates() || c.AchievedRatio() != 1.0 {
+		t.Fatalf("ratio 1.0 produced %d supernodes for %d cells", c.NumSuper(), n.NumGates())
+	}
+	for v, s := range c.Owner {
+		if s != int32(v) {
+			t.Fatalf("Owner[%d] = %d, want identity", v, s)
 		}
-		if err := c.Validate(n); err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	}
+	cg := c.ProjectGraph(g)
+	if cg.N != g.N {
+		t.Fatalf("projected graph has %d nodes, want %d", cg.N, g.N)
+	}
+	for i := range g.X.Data {
+		if cg.X.Data[i] != g.X.Data[i] {
+			t.Fatalf("projected attribute %d differs", i)
 		}
-		if c.NumSuper() != n.NumGates() || c.AchievedRatio() != 1.0 {
-			t.Fatalf("%v: ratio 1.0 produced %d supernodes for %d cells", strat, c.NumSuper(), n.NumGates())
-		}
-		for v, s := range c.Owner {
-			if s != int32(v) {
-				t.Fatalf("%v: Owner[%d] = %d, want identity", strat, v, s)
-			}
-		}
-		for v := int32(0); v < int32(n.NumGates()); v++ {
-			if c.Super.Type(v) != n.Type(v) {
-				t.Fatalf("%v: supergraph type mismatch at %d", strat, v)
-			}
-			sf, ff := c.Super.Fanin(v), n.Fanin(v)
-			if len(sf) != len(ff) {
-				t.Fatalf("%v: supergraph arity mismatch at %d", strat, v)
-			}
-			for i := range sf {
-				if sf[i] != ff[i] {
-					t.Fatalf("%v: supergraph pin mismatch at %d[%d]", strat, v, i)
-				}
-			}
-		}
-		cg := c.ProjectGraph(g)
-		if cg.N != g.N {
-			t.Fatalf("%v: projected graph has %d nodes, want %d", strat, cg.N, g.N)
-		}
-		for i := range g.X.Data {
-			if cg.X.Data[i] != g.X.Data[i] {
-				t.Fatalf("%v: projected attribute %d differs", strat, i)
-			}
-		}
-		lifted := c.Lift(m.PredictProbs(cg))
-		for v := range want {
-			if lifted[v] != want[v] {
-				t.Fatalf("%v: lifted prob at %d is %v, fine is %v", strat, v, lifted[v], want[v])
-			}
+	}
+	lifted := c.Lift(m.PredictProbs(cg))
+	for v := range want {
+		if lifted[v] != want[v] {
+			t.Fatalf("lifted prob at %d is %v, fine is %v", v, lifted[v], want[v])
 		}
 	}
 }
@@ -125,7 +92,7 @@ func TestFFRMergesChain(t *testing.T) {
 	out := n.MustAddGate(netlist.Output, "out", c3)  // boundary
 	_ = out
 
-	c, err := New(n, Options{Strategy: FFR, Ratio: 0.25})
+	c, err := New(n, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +110,6 @@ func TestFFRMergesChain(t *testing.T) {
 			t.Errorf("boundary cell %d not a singleton", v)
 		}
 	}
-	// The merged supernode keeps its head's type: c3 is an And with
-	// two external pins (stem twice: once via the collapsed chain's
-	// entry wire stem→c1, once directly stem→c3).
-	s := c.Owner[c3]
-	if got := c.Super.Type(s); got != netlist.And {
-		t.Errorf("merged supernode type %v, want And", got)
-	}
-	if got := len(c.Super.Fanin(s)); got != 2 {
-		t.Errorf("merged supernode arity %d, want 2", got)
-	}
 }
 
 // TestFFRSizeCap: with ratio 0.5 (cap 2) a 3-cell chain cannot fully
@@ -165,7 +122,7 @@ func TestFFRSizeCap(t *testing.T) {
 	c3 := n.MustAddGate(netlist.Buf, "c3", c2)
 	n.MustAddGate(netlist.Output, "out", c3)
 
-	c, err := New(n, Options{Strategy: FFR, Ratio: 0.5})
+	c, err := New(n, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,49 +142,23 @@ func TestFFRSizeCap(t *testing.T) {
 	}
 }
 
-// TestLevelCollapseGroups checks the cap and boundary-singleton rules
-// on random circuits at several ratios.
-func TestLevelCollapseGroups(t *testing.T) {
-	n := testNetlist(t, 11, 400)
-	for _, ratio := range []float64{0.5, 0.25, 0.1} {
-		c, err := New(n, Options{Strategy: LevelCollapse, Ratio: ratio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Validate(n); err != nil {
-			t.Fatalf("ratio %v: %v", ratio, err)
-		}
-		cap := int(math.Ceil(1 / ratio))
-		for s, members := range c.Members {
-			if len(members) > cap {
-				t.Fatalf("ratio %v: supernode %d has %d members, cap %d", ratio, s, len(members), cap)
-			}
-		}
-		if got := c.AchievedRatio(); got < ratio-1e-9 {
-			t.Fatalf("ratio %v: achieved %v below request", ratio, got)
-		}
-	}
-}
-
 // TestDeterminism: identical inputs must coarsen identically.
 func TestDeterminism(t *testing.T) {
 	n := testNetlist(t, 13, 500)
-	for _, strat := range []Strategy{FFR, LevelCollapse} {
-		a, err := New(n, Options{Strategy: strat, Ratio: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := New(n.Clone(), Options{Strategy: strat, Ratio: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Owner) != len(b.Owner) {
-			t.Fatalf("%v: owner lengths differ", strat)
-		}
-		for v := range a.Owner {
-			if a.Owner[v] != b.Owner[v] {
-				t.Fatalf("%v: nondeterministic owner at %d: %d vs %d", strat, v, a.Owner[v], b.Owner[v])
-			}
+	a, err := New(n, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(n.Clone(), 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Owner) != len(b.Owner) {
+		t.Fatal("owner lengths differ")
+	}
+	for v := range a.Owner {
+		if a.Owner[v] != b.Owner[v] {
+			t.Fatalf("nondeterministic owner at %d: %d vs %d", v, a.Owner[v], b.Owner[v])
 		}
 	}
 }
@@ -248,7 +179,7 @@ func TestProjectGraphAggregation(t *testing.T) {
 			g.Labels[v] = -1
 		}
 	}
-	c, err := New(n, Options{Strategy: FFR, Ratio: 0.25})
+	c, err := New(n, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +238,7 @@ func TestProjectGraphAggregation(t *testing.T) {
 
 func TestLiftShapes(t *testing.T) {
 	n := testNetlist(t, 19, 200)
-	c, err := New(n, Options{Strategy: LevelCollapse, Ratio: 0.5})
+	c, err := New(n, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +272,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	n := testNetlist(t, 23, 200)
 	build := func() *Coarsening {
-		c, err := New(n, Options{Strategy: FFR, Ratio: 0.25})
+		c, err := New(n, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,24 +300,18 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if c.Validate(n) == nil {
 		t.Error("out-of-range member accepted")
 	}
-
-	c = build()
-	c.Super = netlist.New("empty")
-	if c.Validate(n) == nil {
-		t.Error("empty supergraph accepted")
-	}
 }
 
 // TestLiveMirror exercises the in-package live-coarsening mirror:
-// AddObservationPoint must extend the mapping, the reduced netlist and
-// the coarse graph together, ReprojectRow must report exactly the rows
+// AddObservationPoint must extend the mapping and the coarse graph
+// together, ReprojectRow must report exactly the rows
 // it changes, and the maintained coarse graph must equal a fresh
 // projection of the mutated fine graph.
 func TestLiveMirror(t *testing.T) {
 	n := testNetlist(t, 9, 300)
 	meas := scoap.Compute(n)
 	g := core.FromNetlist(n, meas)
-	c, err := New(n, Options{Strategy: FFR, Ratio: 0.5})
+	c, err := New(n, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

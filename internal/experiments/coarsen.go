@@ -17,13 +17,12 @@ import (
 	"repro/internal/scoap"
 )
 
-// CoarsenRow is one cell of the coarsening grid: a (strategy, ratio)
-// pair evaluated end to end — train the cascade on coarsened designs,
-// score the held-out design through the coarse graph, lift, and run the
+// CoarsenRow is one cell of the coarsening grid: an FFR ratio evaluated
+// end to end — train the cascade on coarsened designs, score the
+// held-out design through the coarse graph, lift, and run the
 // coarse-then-refine insertion flow.
 type CoarsenRow struct {
-	Strategy string
-	Ratio    float64
+	Ratio float64
 	// Achieved is the supernode/cell ratio realized on the test design
 	// (>= Ratio: FFR cannot merge past region boundaries).
 	Achieved   float64
@@ -58,28 +57,40 @@ type CoarsenResult struct {
 // row's retention.
 func (r CoarsenResult) ExactGain() float64 { return r.ExactCoverage - r.BaseCoverage }
 
-// Retention returns row coverage gain / exact flow gain (1 when the
-// exact flow gained nothing).
-func (r CoarsenResult) Retention(row CoarsenRow) float64 {
-	if g := r.ExactGain(); g > 0 {
-		return (row.Coverage - r.BaseCoverage) / g
-	}
-	return 1
+// Retention returns row coverage gain / exact flow gain. It is
+// undefined (ok false) when the exact flow gained nothing.
+func (r CoarsenResult) Retention(row CoarsenRow) (ratio float64, ok bool) {
+	return retention(row.Coverage-r.BaseCoverage, r.ExactGain())
 }
 
-// CoarsenRatios and CoarsenStrategies define the grid.
-var (
-	CoarsenRatios     = []float64{1.0, 0.5, 0.25, 0.1}
-	CoarsenStrategies = []coarsen.Strategy{coarsen.FFR, coarsen.LevelCollapse}
-)
+// retention divides a flow's coverage gain by the exact flow's. A
+// non-positive exact gain leaves the ratio undefined rather than
+// reporting every coarse flow as full retention.
+func retention(gain, exactGain float64) (float64, bool) {
+	if exactGain > 0 {
+		return gain / exactGain, true
+	}
+	return 0, false
+}
 
-// CoarsenGrid sweeps coarsening ratios for both strategies. For each
-// cell the multi-stage cascade is trained on the *coarsened* training
-// designs (train/test distributions must match), the held-out design is
-// scored through its coarse graph and lifted back to cells for F1, and
-// the coarse-then-refine flow's coverage and wall time are measured
-// against the exact flow. Ratio 1.0 is the anchor: identity coarsening,
-// so its rows must reproduce the fine baseline exactly.
+// fmtRetention renders a retention ratio, "n/a" when undefined.
+func fmtRetention(ratio float64, ok bool) string {
+	if !ok {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.3f", ratio)
+}
+
+// CoarsenRatios defines the grid.
+var CoarsenRatios = []float64{1.0, 0.5, 0.25, 0.1}
+
+// CoarsenGrid sweeps FFR coarsening ratios. For each cell the
+// multi-stage cascade is trained on the *coarsened* training designs
+// (train/test distributions must match), the held-out design is scored
+// through its coarse graph and lifted back to cells for F1, and the
+// coarse-then-refine flow's coverage and wall time are measured against
+// the exact flow. Ratio 1.0 is the anchor: identity coarsening, so its
+// row must reproduce the fine baseline exactly.
 func CoarsenGrid(cfg Config) CoarsenResult {
 	span := obs.StartSpan("experiments/coarsen")
 	defer span.End()
@@ -109,22 +120,18 @@ func CoarsenGrid(cfg Config) CoarsenResult {
 	res.ExactFlowNS = time.Since(start).Nanoseconds()
 	res.ExactCoverage = opi.Evaluate(exN, tpg).Coverage
 
-	for _, strat := range CoarsenStrategies {
-		for _, ratio := range CoarsenRatios {
-			res.Rows = append(res.Rows, coarsenCell(cfg, train, test.Netlist, test.Graph, strat, ratio, tpg))
-		}
+	for _, ratio := range CoarsenRatios {
+		res.Rows = append(res.Rows, coarsenCell(cfg, train, test.Netlist, test.Graph, ratio, tpg))
 	}
 	return res
 }
 
-// coarsenCell evaluates one (strategy, ratio) pair.
+// coarsenCell evaluates one ratio.
 func coarsenCell(cfg Config, train []*dataset.Benchmark, testNet *netlist.Netlist, testGraph *core.Graph,
-	strat coarsen.Strategy, ratio float64, tpg fault.TPGConfig) CoarsenRow {
-	opt := coarsen.Options{Strategy: strat, Ratio: ratio}
-
+	ratio float64, tpg fault.TPGConfig) CoarsenRow {
 	var coarseGraphs []*core.Graph
 	for _, b := range train {
-		c, err := coarsen.New(b.Netlist, opt)
+		c, err := coarsen.New(b.Netlist, ratio)
 		if err != nil {
 			panic(err)
 		}
@@ -132,13 +139,12 @@ func coarsenCell(cfg Config, train []*dataset.Benchmark, testNet *netlist.Netlis
 	}
 	ms := trainCascade(cfg, coarseGraphs)
 
-	ct, err := coarsen.New(testNet, opt)
+	ct, err := coarsen.New(testNet, ratio)
 	if err != nil {
 		panic(err)
 	}
 	cg := ct.ProjectGraph(testGraph)
 	row := CoarsenRow{
-		Strategy:   strat.String(),
 		Ratio:      ratio,
 		Achieved:   ct.AchievedRatio(),
 		SuperNodes: ct.NumSuper(),
@@ -163,8 +169,8 @@ func coarsenCell(cfg Config, train []*dataset.Benchmark, testNet *netlist.Netlis
 	flowG := core.FromNetlist(flowN, flowM)
 	start := time.Now()
 	if _, err := opi.RunCoarseRefine(flowN, flowM, flowG, ms, opi.CoarseRefineConfig{
-		Coarsen: opt,
-		Flow:    opi.FlowConfig{PerIteration: 64},
+		Ratio: ratio,
+		Flow:  opi.FlowConfig{PerIteration: 64},
 	}); err != nil {
 		panic(err)
 	}
@@ -204,14 +210,14 @@ func (r CoarsenResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "fine baseline: %d nodes, F1 %.3f, inference %.2fms, coverage %.2f%% -> %.2f%% (exact flow %.0fms)\n",
 		r.FineNodes, r.FineF1, float64(r.FineInferNS)/1e6,
 		100*r.BaseCoverage, 100*r.ExactCoverage, float64(r.ExactFlowNS)/1e6)
-	fmt.Fprintf(w, "%-15s %6s %9s %7s %6s %7s %10s %9s %10s %9s\n",
-		"Strategy", "Ratio", "Achieved", "Nodes", "Red%", "F1", "Infer(ms)", "Coverage", "Retention", "Flow(ms)")
+	fmt.Fprintf(w, "%6s %9s %7s %6s %7s %10s %9s %10s %9s\n",
+		"Ratio", "Achieved", "Nodes", "Red%", "F1", "Infer(ms)", "Coverage", "Retention", "Flow(ms)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-15s %6.2f %9.3f %7d %5.1f%% %7.3f %10.2f %8.2f%% %10.3f %9.0f\n",
-			row.Strategy, row.Ratio, row.Achieved, row.SuperNodes,
+		fmt.Fprintf(w, "%6.2f %9.3f %7d %5.1f%% %7.3f %10.2f %8.2f%% %10s %9.0f\n",
+			row.Ratio, row.Achieved, row.SuperNodes,
 			100*(1-float64(row.SuperNodes)/float64(r.FineNodes)),
 			row.LiftedF1, float64(row.InferNS)/1e6,
-			100*row.Coverage, r.Retention(row), float64(row.FlowNS)/1e6)
+			100*row.Coverage, fmtRetention(r.Retention(row)), float64(row.FlowNS)/1e6)
 	}
 }
 
@@ -235,13 +241,10 @@ type CoarseRefineComparison struct {
 func (c CoarseRefineComparison) ExactGain() float64  { return c.ExactCov - c.BaseCov }
 func (c CoarseRefineComparison) CoarseGain() float64 { return c.CoarseCov - c.BaseCov }
 
-// Retention is coarse gain / exact gain (1 when the exact flow gained
-// nothing).
-func (c CoarseRefineComparison) Retention() float64 {
-	if g := c.ExactGain(); g > 0 {
-		return c.CoarseGain() / g
-	}
-	return 1
+// Retention is coarse gain / exact gain, undefined (ok false) when the
+// exact flow gained nothing.
+func (c CoarseRefineComparison) Retention() (ratio float64, ok bool) {
+	return retention(c.CoarseGain(), c.ExactGain())
 }
 
 // Speedup is exact wall time / coarse wall time.
@@ -252,31 +255,40 @@ func (c CoarseRefineComparison) Speedup() float64 {
 	return 0
 }
 
+// coarseRefineDesign generates the head-to-head's design: the
+// circuitgen.OPIBench preset at cfg.Size gates (0 selects its 50k
+// default) with the generator seeded by cfg.Seed.
+func coarseRefineDesign(cfg Config) *netlist.Netlist {
+	gen := circuitgen.OPIBench(cfg.Size)
+	gen.Seed = cfg.Seed
+	return circuitgen.Generate("opif", gen)
+}
+
 // CompareCoarseRefine runs the benchmark workload (the
-// circuitgen.OPIBench design) through the exact incremental flow and
-// the FFR-0.25 coarse-then-refine flow on identical copies with the
-// same insertion budget, then fault-simulates both results. Each flow
-// is driven by a cascade trained at its own resolution on small
-// labeled designs and transferred inductively to the large design —
-// trained predictions are what give the flows a real coverage gain for
-// the retention ratio to measure. gates <= 0 selects the 50k-gate
-// benchmark design.
-func CompareCoarseRefine(gates int) CoarseRefineComparison {
+// circuitgen.OPIBench design at cfg.Size gates, seeded by cfg.Seed)
+// through the exact incremental flow and the FFR-0.25 coarse-then-refine
+// flow on identical copies with the same insertion budget, then
+// fault-simulates both results. Each flow is driven by a cascade trained
+// at its own resolution on small labeled designs (seeded by cfg.Seed)
+// and transferred inductively to the large design — trained predictions
+// are what give the flows a real coverage gain for the retention ratio
+// to measure.
+func CompareCoarseRefine(cfg Config) CoarseRefineComparison {
 	span := obs.StartSpan("experiments/coarse_refine")
 	defer span.End()
-	n := circuitgen.Generate("opif", circuitgen.OPIBench(gates))
+	n := coarseRefineDesign(cfg)
 	meas := scoap.Compute(n)
 	g := core.FromNetlist(n, meas)
 
-	copt := coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.25}
+	const ratio = 0.25
 	// Quick-scale designs with a longer epoch budget: transfer quality
 	// to the 50k design is what decides both flows' gains, and 30
 	// epochs (the smoke default) underfits the imbalanced classes.
-	trainCfg := Config{Quick: true, Seed: 5, Epochs: 120}.withDefaults()
+	trainCfg := Config{Quick: true, Seed: cfg.Seed, Epochs: 120}.withDefaults()
 	var fineGraphs, coarseGraphs []*core.Graph
 	for _, b := range trainCfg.suite()[:3] {
 		fineGraphs = append(fineGraphs, b.Graph)
-		c, err := coarsen.New(b.Netlist, copt)
+		c, err := coarsen.New(b.Netlist, ratio)
 		if err != nil {
 			panic(err)
 		}
@@ -305,8 +317,8 @@ func CompareCoarseRefine(gates int) CoarseRefineComparison {
 	coN, coM, coG := n.Clone(), meas.Clone(), g.Clone()
 	start = time.Now()
 	coRes, err := opi.RunCoarseRefine(coN, coM, coG, coarseMS, opi.CoarseRefineConfig{
-		Coarsen: copt,
-		Flow:    flow,
+		Ratio: ratio,
+		Flow:  flow,
 	})
 	if err != nil {
 		panic(err)
@@ -328,5 +340,5 @@ func (c CoarseRefineComparison) Fprint(w io.Writer) {
 		c.ExactOPs, float64(c.ExactNS)/1e6, 100*c.ExactCov, 100*c.ExactGain())
 	fmt.Fprintf(w, "%-18s %6d %10.0f %9.2f%% %+7.2f%%\n", "coarse-refine",
 		c.CoarseOPs, float64(c.CoarseNS)/1e6, 100*c.CoarseCov, 100*c.CoarseGain())
-	fmt.Fprintf(w, "retention %.3f, speedup %.2fx\n", c.Retention(), c.Speedup())
+	fmt.Fprintf(w, "retention %s, speedup %.2fx\n", fmtRetention(c.Retention()), c.Speedup())
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -41,50 +42,6 @@ func TestObservabilityNorXnorNand(t *testing.T) {
 	}
 }
 
-func TestControlPointForcesValueBehaviourally(t *testing.T) {
-	// CP0 on a net: when the control input happens to be 0, the net after
-	// the CP gate must be 0 in simulation.
-	n := netlist.New("cp")
-	a := n.MustAddGate(netlist.Input, "a")
-	x := n.MustAddGate(netlist.Not, "x", a)
-	n.MustAddGate(netlist.Output, "po", x)
-	out, results, _, err := n.InsertControlPoints([]netlist.ControlPoint{{Target: x, Kind: netlist.CP0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := NewSimulator(out)
-	sim.Batch(rand.New(rand.NewSource(11)))
-	vals := sim.Values()
-	ctl, gate := results[0].Control, results[0].Gate
-	// AND(net, ctl): wherever ctl is 0, gate output is 0.
-	if vals[gate]&^vals[ctl] != 0 {
-		t.Errorf("CP0 failed to force 0: gate=%x ctl=%x", vals[gate], vals[ctl])
-	}
-	// Wherever ctl is 1 (normal mode), gate output equals the net.
-	if (vals[gate]^vals[results[0].Target])&vals[ctl] != 0 {
-		t.Error("CP0 disturbed normal-mode value")
-	}
-}
-
-func TestControlPointCP1Behaviour(t *testing.T) {
-	n := netlist.New("cp1")
-	a := n.MustAddGate(netlist.Input, "a")
-	x := n.MustAddGate(netlist.Buf, "x", a)
-	n.MustAddGate(netlist.Output, "po", x)
-	out, results, _, err := n.InsertControlPoints([]netlist.ControlPoint{{Target: x, Kind: netlist.CP1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := NewSimulator(out)
-	sim.Batch(rand.New(rand.NewSource(12)))
-	vals := sim.Values()
-	ctl, gate := results[0].Control, results[0].Gate
-	// OR(net, ctl): wherever ctl is 1, gate output is 1.
-	if ^vals[gate]&vals[ctl] != 0 {
-		t.Error("CP1 failed to force 1")
-	}
-}
-
 func TestFaultUniverseGrowsWithOPs(t *testing.T) {
 	n := circuitgen.Generate("u2", circuitgen.Config{Seed: 13, NumGates: 300})
 	before := len(FaultUniverse(n))
@@ -119,6 +76,22 @@ func TestGenerateTestsStallStops(t *testing.T) {
 	}
 	if len(res.UndetectedSample) == 0 {
 		t.Error("undetected sample should be populated")
+	}
+}
+
+// TestGenerateTestsHugeBudget: the largest pattern budget must run like
+// any budget the stall criterion ends first, not overflow into zero
+// simulated words and zero coverage.
+func TestGenerateTestsHugeBudget(t *testing.T) {
+	n := circuitgen.Generate("huge", circuitgen.Config{Seed: 15, NumGates: 200})
+	want := GenerateTests(n, TPGConfig{MaxPatterns: 1 << 30, Seed: 3})
+	got := GenerateTests(n, TPGConfig{MaxPatterns: math.MaxInt, Seed: 3})
+	if want.PatternsSimulated >= 1<<30 {
+		t.Fatalf("stall never stopped the 1<<30 budget")
+	}
+	if got.PatternsSimulated != want.PatternsSimulated || got.Detected != want.Detected {
+		t.Fatalf("MaxInt budget: %d simulated, %d detected; 1<<30 budget: %d, %d",
+			got.PatternsSimulated, got.Detected, want.PatternsSimulated, want.Detected)
 	}
 }
 

@@ -90,7 +90,7 @@ func GenerateTests(n *netlist.Netlist, cfg TPGConfig) TPGResult {
 
 	res := TPGResult{TotalFaults: len(faults)}
 	usedPatterns := make(map[int]struct{})
-	words := (cfg.MaxPatterns + WordSize - 1) / WordSize
+	words := (cfg.MaxPatterns-1)/WordSize + 1 // ceil without overflowing a huge budget
 	stall := 0
 	for w := 0; w < words && len(live) > 0; w++ {
 		sim.Batch(rng)

@@ -14,13 +14,11 @@ package opi
 // recomputed — so the coarse graph stays exactly equal to the projection
 // of the evolving fine graph.
 //
-// At ratio 1.0 with Regions = 0 the supergraph is the fine graph and
-// every step degenerates to RunFlow's: the flow is then bit-identical to
+// At ratio 1.0 the supergraph is the fine graph and every step
+// degenerates to RunFlow's: the flow is then bit-identical to
 // the exact incremental flow, the anchor the differential tests enforce.
 
 import (
-	"sort"
-
 	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -30,20 +28,8 @@ import (
 
 // CoarseRefineConfig controls RunCoarseRefine.
 type CoarseRefineConfig struct {
-	// Coarsen selects the clustering strategy and ratio.
-	Coarsen coarsen.Options
-	// Regions caps how many positive regions are refined per iteration,
-	// ranked by coarse probability (ties by supernode id). 0 refines
-	// every positive region — at ratio 1.0 that reproduces RunFlow
-	// exactly.
-	Regions int
-	// PerRegion caps the candidate cells taken from each winning
-	// region: the members with the worst SCOAP observability (the
-	// region's genuinely hard cells — region scores cannot separate
-	// members, but the exact fine-grained measures can). 0 takes every
-	// member. Singleton regions are unaffected, so any value preserves
-	// the ratio-1.0 equivalence.
-	PerRegion int
+	// Ratio is the FFR coarsening ratio in (0, 1] (see coarsen.New).
+	Ratio float64
 	// Flow carries the shared insertion-flow knobs (threshold,
 	// per-iteration cap, cone limit, iteration/insertion bounds,
 	// progress hook). ExactImpact and the incremental switches are
@@ -66,13 +52,13 @@ type CoarseRefineResult struct {
 // mutating the netlist, measures and fine graph in place exactly like
 // RunFlow. pred must support incremental updates (*core.Model and
 // *core.MultiStage both do); it is only ever invoked on the coarse
-// graph. The error is non-nil only for invalid coarsening options.
+// graph. The error is non-nil only for an invalid coarsening ratio.
 func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, cfg CoarseRefineConfig) (CoarseRefineResult, error) {
 	span := obs.StartSpan("opi.coarse")
 	defer span.End()
 	fc := cfg.Flow.withDefaults()
 
-	c, err := coarsen.New(n, cfg.Coarsen)
+	c, err := coarsen.New(n, cfg.Ratio)
 	if err != nil {
 		return CoarseRefineResult{}, err
 	}
@@ -100,44 +86,21 @@ func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pr
 			probs = run.Probs()
 		}
 
-		// Positive regions and their refinable member cells. A region
-		// with no insertable, unobserved member has nothing left to
-		// refine regardless of its score.
-		type region struct {
-			super int32
-			prob  float64
-		}
-		var positive []region
-		candidates := make(map[int32][]int32) // super -> refinable members
-		total := 0
+		// Refinable member cells of the positive regions. A region with
+		// no insertable, unobserved member has nothing left to refine
+		// regardless of its score.
+		positives := make(map[int32]bool)
 		for s := 0; s < c.NumSuper() && s < len(probs); s++ {
 			if probs[s] < fc.Threshold {
 				continue
 			}
-			var cells []int32
 			for _, v := range c.Members[s] {
 				if insertable(n, v) && !observed[v] {
-					cells = append(cells, v)
+					positives[v] = true
 				}
 			}
-			if len(cells) == 0 {
-				continue
-			}
-			if cfg.PerRegion > 0 && len(cells) > cfg.PerRegion {
-				// Keep the members hardest to observe (ties by id, so
-				// the cut is deterministic).
-				sort.Slice(cells, func(i, j int) bool {
-					if meas.CO[cells[i]] != meas.CO[cells[j]] {
-						return meas.CO[cells[i]] > meas.CO[cells[j]]
-					}
-					return cells[i] < cells[j]
-				})
-				cells = cells[:cfg.PerRegion]
-			}
-			positive = append(positive, region{int32(s), probs[s]})
-			candidates[int32(s)] = cells
-			total += len(cells)
 		}
+		total := len(positives)
 		res.Iterations = iter + 1
 		res.FinalPositives = total
 		opiPositives.Observe(int64(total))
@@ -148,24 +111,9 @@ func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pr
 			iterSpan.End()
 			return res, nil
 		}
-		if cfg.Regions > 0 && len(positive) > cfg.Regions {
-			sort.Slice(positive, func(i, j int) bool {
-				if positive[i].prob != positive[j].prob {
-					return positive[i].prob > positive[j].prob
-				}
-				return positive[i].super < positive[j].super
-			})
-			positive = positive[:cfg.Regions]
-		}
 
-		// Exact refinement inside the winning regions: same fan-in-cone
+		// Exact refinement inside the positive regions: same fan-in-cone
 		// impact ranking as RunFlow, restricted to their member cells.
-		positives := make(map[int32]bool)
-		for _, r := range positive {
-			for _, v := range candidates[r.super] {
-				positives[v] = true
-			}
-		}
 		rankSpan := iterSpan.Child("rank")
 		selected := selectByImpact(n, positives, fc)
 		rankSpan.End()

@@ -8,7 +8,7 @@ import (
 )
 
 // runCoarseEquivalence runs the exact incremental flow and the
-// coarse-then-refine flow at ratio 1.0 / unbounded regions on identical
+// coarse-then-refine flow at ratio 1.0 on identical
 // copies of one design and requires identical outcomes — the anchor
 // invariant: at identity coarsening every coarse step degenerates to the
 // corresponding RunFlow step bit-for-bit.
@@ -23,8 +23,8 @@ func runCoarseEquivalence(t *testing.T, seed int64, gates int, mk func() core.In
 
 	resExact := RunFlow(nExact, mExact, gExact, pred, cfg)
 	resCoarse, err := RunCoarseRefine(nCoarse, mCoarse, gCoarse, pred, CoarseRefineConfig{
-		Coarsen: coarsen.Options{Strategy: coarsen.FFR, Ratio: 1.0},
-		Flow:    cfg,
+		Ratio: 1.0,
+		Flow:  cfg,
 	})
 	if err != nil {
 		t.Fatalf("seed %d: coarse flow rejected: %v", seed, err)
@@ -86,7 +86,7 @@ func TestCoarseRefineRatio1MatchesRunFlowMultiStage(t *testing.T) {
 // projection of the mutated fine graph, bit for bit.
 func TestCoarseMirrorMatchesReprojection(t *testing.T) {
 	n, meas, g := buildBench(t, 42, 600)
-	c, err := coarsen.New(n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.5})
+	c, err := coarsen.New(n, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,50 +156,45 @@ func TestCoarseMirrorMatchesReprojection(t *testing.T) {
 // reduction: it must terminate, insert only legal targets, and report
 // the coarsening geometry.
 func TestCoarseRefineReducedRatioTerminates(t *testing.T) {
-	for _, strat := range []coarsen.Strategy{coarsen.FFR, coarsen.LevelCollapse} {
-		n, meas, g := buildBench(t, 7, 1200)
-		fine := g.N
-		pred := core.MustNewModel(core.Config{Dims: []int{8, 8}, FCDims: []int{8}, NumClasses: 2, Seed: 5})
-		thr := flowThreshold(g, pred, 0.05)
-		res, err := RunCoarseRefine(n, meas, g, pred, CoarseRefineConfig{
-			Coarsen: coarsen.Options{Strategy: strat, Ratio: 0.25},
-			Regions: 8,
-			Flow:    FlowConfig{Threshold: thr, PerIteration: 4, MaxIterations: 6},
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	n, meas, g := buildBench(t, 7, 1200)
+	fine := g.N
+	pred := core.MustNewModel(core.Config{Dims: []int{8, 8}, FCDims: []int{8}, NumClasses: 2, Seed: 5})
+	thr := flowThreshold(g, pred, 0.05)
+	res, err := RunCoarseRefine(n, meas, g, pred, CoarseRefineConfig{
+		Ratio: 0.25,
+		Flow:  FlowConfig{Threshold: thr, PerIteration: 4, MaxIterations: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CoarseNodes >= fine {
+		t.Fatalf("no reduction: %d supernodes for %d cells", res.CoarseNodes, fine)
+	}
+	if res.AchievedRatio < 0.25 || res.AchievedRatio > 1 {
+		t.Fatalf("achieved ratio %v out of range", res.AchievedRatio)
+	}
+	if res.Iterations == 0 {
+		t.Fatal("flow never iterated")
+	}
+	seen := make(map[int32]bool)
+	for _, v := range res.Targets {
+		if seen[v] {
+			t.Fatalf("target %d inserted twice", v)
 		}
-		if res.CoarseNodes >= fine {
-			t.Fatalf("%v: no reduction: %d supernodes for %d cells", strat, res.CoarseNodes, fine)
+		seen[v] = true
+		if int(v) >= fine {
+			t.Fatalf("target %d outside original design", v)
 		}
-		if res.AchievedRatio < 0.25 || res.AchievedRatio > 1 {
-			t.Fatalf("%v: achieved ratio %v out of range", strat, res.AchievedRatio)
-		}
-		if res.Iterations == 0 {
-			t.Fatalf("%v: flow never iterated", strat)
-		}
-		seen := make(map[int32]bool)
-		for _, v := range res.Targets {
-			if seen[v] {
-				t.Fatalf("%v: target %d inserted twice", strat, v)
-			}
-			seen[v] = true
-			if int(v) >= fine {
-				t.Fatalf("%v: target %d outside original design", strat, v)
-			}
-		}
-		if err := n.Validate(); err != nil {
-			t.Fatalf("%v: netlist invalid after flow: %v", strat, err)
-		}
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatalf("netlist invalid after flow: %v", err)
 	}
 }
 
 func TestCoarseRefineRejectsBadOptions(t *testing.T) {
 	n, meas, g := buildBench(t, 3, 200)
 	pred := core.MustNewModel(core.Config{Dims: []int{6}, FCDims: []int{6}, NumClasses: 2, Seed: 1})
-	if _, err := RunCoarseRefine(n, meas, g, pred, CoarseRefineConfig{
-		Coarsen: coarsen.Options{Strategy: coarsen.FFR, Ratio: 0},
-	}); err == nil {
+	if _, err := RunCoarseRefine(n, meas, g, pred, CoarseRefineConfig{Ratio: 0}); err == nil {
 		t.Fatal("ratio 0 accepted")
 	}
 }

@@ -12,9 +12,8 @@ import (
 // This file differentially verifies the graph-coarsening subsystem
 // (internal/coarsen) against the fine-grained pipeline it compresses:
 //
-//   - coarsening is a deterministic function of (netlist, options);
-//   - every coarsening satisfies its own structural invariants and
-//     emits a valid reduced netlist;
+//   - coarsening is a deterministic function of (netlist, ratio);
+//   - every coarsening satisfies its own structural invariants;
 //   - at ratio 1.0 the projected supergraph IS the fine graph — same
 //     attribute bits, labels, and normalized edges, in the same order;
 //   - Lift is a pure broadcast: members of one supernode receive the
@@ -22,14 +21,13 @@ import (
 //     scores survives the lift unchanged on their members.
 
 // CheckCoarsenDeterminism builds the same coarsening twice and returns
-// an error on the first structural difference — owners, member lists,
-// or the reduced netlist's cells and wiring.
-func CheckCoarsenDeterminism(n *netlist.Netlist, opt coarsen.Options) error {
-	a, err := coarsen.New(n, opt)
+// an error on the first structural difference — owners or member lists.
+func CheckCoarsenDeterminism(n *netlist.Netlist, ratio float64) error {
+	a, err := coarsen.New(n, ratio)
 	if err != nil {
 		return err
 	}
-	b, err := coarsen.New(n, opt)
+	b, err := coarsen.New(n, ratio)
 	if err != nil {
 		return fmt.Errorf("second build failed after first succeeded: %v", err)
 	}
@@ -51,42 +49,22 @@ func CheckCoarsenDeterminism(n *netlist.Netlist, opt coarsen.Options) error {
 			}
 		}
 	}
-	if got, want := b.Super.NumGates(), a.Super.NumGates(); got != want {
-		return fmt.Errorf("super netlist sizes differ: %d vs %d", want, got)
-	}
-	for id := int32(0); id < int32(a.Super.NumGates()); id++ {
-		if a.Super.Type(id) != b.Super.Type(id) {
-			return fmt.Errorf("super cell %d type differs: %v vs %v", id, a.Super.Type(id), b.Super.Type(id))
-		}
-		fa, fb := a.Super.Fanin(id), b.Super.Fanin(id)
-		if len(fa) != len(fb) {
-			return fmt.Errorf("super cell %d fanin counts differ: %d vs %d", id, len(fa), len(fb))
-		}
-		for i := range fa {
-			if fa[i] != fb[i] {
-				return fmt.Errorf("super cell %d fanin %d differs: %d vs %d", id, i, fa[i], fb[i])
-			}
-		}
-	}
 	return nil
 }
 
-// CheckCoarsenInvariants builds the coarsening and runs both its own
-// Validate (partition shape, boundary singletons, head containment,
-// super wiring) and the reduced netlist's Validate.
-func CheckCoarsenInvariants(n *netlist.Netlist, opt coarsen.Options) error {
-	c, err := coarsen.New(n, opt)
+// CheckCoarsenInvariants builds the coarsening and runs its Validate
+// (partition shape, boundary singletons, monotone cross wires) and the
+// achieved-ratio bounds.
+func CheckCoarsenInvariants(n *netlist.Netlist, ratio float64) error {
+	c, err := coarsen.New(n, ratio)
 	if err != nil {
 		return err
 	}
 	if err := c.Validate(n); err != nil {
 		return fmt.Errorf("coarsening invariants: %v", err)
 	}
-	if err := c.Super.Validate(); err != nil {
-		return fmt.Errorf("reduced netlist invalid: %v", err)
-	}
-	if r := c.AchievedRatio(); r < opt.Ratio-1e-9 || r > 1 {
-		return fmt.Errorf("achieved ratio %v outside [%v, 1]", r, opt.Ratio)
+	if r := c.AchievedRatio(); r < ratio-1e-9 || r > 1 {
+		return fmt.Errorf("achieved ratio %v outside [%v, 1]", r, ratio)
 	}
 	return nil
 }
@@ -96,13 +74,13 @@ func CheckCoarsenInvariants(n *netlist.Netlist, opt coarsen.Options) error {
 // normalized predecessor lists must all be identical. This is the
 // anchor that pins the projection math — max-aggregation over
 // singleton groups must be exactly the identity, not merely close.
-func CheckIdentityProjection(n *netlist.Netlist, g *core.Graph, strat coarsen.Strategy) error {
-	c, err := coarsen.New(n, coarsen.Options{Strategy: strat, Ratio: 1.0})
+func CheckIdentityProjection(n *netlist.Netlist, g *core.Graph) error {
+	c, err := coarsen.New(n, 1.0)
 	if err != nil {
 		return err
 	}
 	if c.NumSuper() != g.N {
-		return fmt.Errorf("%v ratio 1.0: %d supernodes for %d cells", strat, c.NumSuper(), g.N)
+		return fmt.Errorf("ratio 1.0: %d supernodes for %d cells", c.NumSuper(), g.N)
 	}
 	cg := c.ProjectGraph(g)
 	for v := 0; v < g.N; v++ {
@@ -110,21 +88,21 @@ func CheckIdentityProjection(n *netlist.Netlist, g *core.Graph, strat coarsen.St
 		fr, cr := g.X.Row(v), cg.X.Row(s)
 		for k := range fr {
 			if fr[k] != cr[k] {
-				return fmt.Errorf("%v: cell %d attr %d: fine %v, projected %v", strat, v, k, fr[k], cr[k])
+				return fmt.Errorf("cell %d attr %d: fine %v, projected %v", v, k, fr[k], cr[k])
 			}
 		}
 		if g.Labels[v] != cg.Labels[s] {
-			return fmt.Errorf("%v: cell %d label: fine %d, projected %d", strat, v, g.Labels[v], cg.Labels[s])
+			return fmt.Errorf("cell %d label: fine %d, projected %d", v, g.Labels[v], cg.Labels[s])
 		}
 		fc, fv := g.PredEntries(int32(v))
 		cc, cv := cg.PredEntries(int32(s))
 		if len(fc) != len(cc) {
-			return fmt.Errorf("%v: cell %d pred count: fine %d, projected %d", strat, v, len(fc), len(cc))
+			return fmt.Errorf("cell %d pred count: fine %d, projected %d", v, len(fc), len(cc))
 		}
 		for i := range fc {
 			if int32(c.Owner[fc[i]]) != cc[i] || fv[i] != cv[i] {
-				return fmt.Errorf("%v: cell %d pred %d: fine (%d,%v), projected (%d,%v)",
-					strat, v, i, fc[i], fv[i], cc[i], cv[i])
+				return fmt.Errorf("cell %d pred %d: fine (%d,%v), projected (%d,%v)",
+					v, i, fc[i], fv[i], cc[i], cv[i])
 			}
 		}
 	}
@@ -136,8 +114,8 @@ func CheckIdentityProjection(n *netlist.Netlist, g *core.Graph, strat coarsen.St
 // each region and (b) preserve the relative order of every pair of
 // region scores. Broadcast cannot invent or invert rankings — the
 // coarse model's region ranking IS the fine ranking after lift.
-func CheckLiftOrder(n *netlist.Netlist, g *core.Graph, opt coarsen.Options, seed int64) error {
-	c, err := coarsen.New(n, opt)
+func CheckLiftOrder(n *netlist.Netlist, g *core.Graph, ratio float64, seed int64) error {
+	c, err := coarsen.New(n, ratio)
 	if err != nil {
 		return err
 	}
@@ -181,25 +159,22 @@ func CheckLiftOrder(n *netlist.Netlist, g *core.Graph, opt coarsen.Options, seed
 	return nil
 }
 
-// CheckCoarsenNetlist sweeps every coarsening check over both
-// strategies at a reduced ratio plus the ratio-1.0 identity anchor.
+// CheckCoarsenNetlist sweeps every coarsening check over the reduced
+// ratios plus the ratio-1.0 identity anchor.
 func CheckCoarsenNetlist(n *netlist.Netlist, seed int64) error {
 	g := core.FromNetlist(n, scoap.Compute(n))
-	for _, strat := range []coarsen.Strategy{coarsen.FFR, coarsen.LevelCollapse} {
-		if err := CheckIdentityProjection(n, g, strat); err != nil {
-			return err
+	if err := CheckIdentityProjection(n, g); err != nil {
+		return err
+	}
+	for _, ratio := range []float64{1.0, 0.5, 0.25} {
+		if err := CheckCoarsenDeterminism(n, ratio); err != nil {
+			return fmt.Errorf("ratio %v: %v", ratio, err)
 		}
-		for _, ratio := range []float64{1.0, 0.5, 0.25} {
-			opt := coarsen.Options{Strategy: strat, Ratio: ratio}
-			if err := CheckCoarsenDeterminism(n, opt); err != nil {
-				return fmt.Errorf("%v ratio %v: %v", strat, ratio, err)
-			}
-			if err := CheckCoarsenInvariants(n, opt); err != nil {
-				return fmt.Errorf("%v ratio %v: %v", strat, ratio, err)
-			}
-			if err := CheckLiftOrder(n, g, opt, seed); err != nil {
-				return fmt.Errorf("%v ratio %v: %v", strat, ratio, err)
-			}
+		if err := CheckCoarsenInvariants(n, ratio); err != nil {
+			return fmt.Errorf("ratio %v: %v", ratio, err)
+		}
+		if err := CheckLiftOrder(n, g, ratio, seed); err != nil {
+			return fmt.Errorf("ratio %v: %v", ratio, err)
 		}
 	}
 	return nil

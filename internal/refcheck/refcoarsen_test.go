@@ -14,8 +14,8 @@ import (
 // TestCoarsenDifferential is the acceptance gate for the coarsening
 // subsystem: 60 seeded random circuits, each checked for build
 // determinism, structural invariants, ratio-1.0 projection
-// bit-identity, and lift ranking-order preservation across both
-// strategies and three ratios.
+// bit-identity, and lift ranking-order preservation across three
+// ratios.
 func TestCoarsenDifferential(t *testing.T) {
 	const circuits = 60
 	configs := RandomConfigs(2025, circuits)
@@ -73,7 +73,7 @@ func TestCoarsenLiftAfterInsertions(t *testing.T) {
 	n := circuitgen.Generate("mirror", circuitgen.Config{
 		Seed: 17, NumGates: 150, NumPIs: 10, Layers: 6})
 	g := core.FromNetlist(n, scoap.Compute(n))
-	c, err := coarsen.New(n, coarsen.Options{Strategy: coarsen.FFR, Ratio: 0.5})
+	c, err := coarsen.New(n, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

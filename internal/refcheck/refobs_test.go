@@ -1,19 +1,17 @@
 package refcheck
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/cop"
 	"repro/internal/netlist"
 	"repro/internal/scoap"
 )
 
 // randomTree builds a fanout-free circuit (every cell drives at most
 // one load): binary gates, inverter/buffer links, scan flip-flops, one
-// primary output at the root. On this class critical path tracing and
-// COP are provably exact, so the test can demand equality.
+// primary output at the root. On this class critical path tracing is
+// provably exact, so the test can demand equality.
 func randomTree(rng *rand.Rand, maxDepth int) *netlist.Netlist {
 	n := netlist.New("tree")
 	var build func(depth int) int32
@@ -87,9 +85,8 @@ func feedsSinkDirectly(n *netlist.Netlist, id int32) bool {
 }
 
 // TestExhaustiveObsOnTrees: on fanout-free circuits, exhaustive
-// observability, the bit-parallel CPT criterion and the analytic COP
-// probability must agree exactly, and SCOAP must mark exactly the
-// observable nets as finite.
+// observability and the bit-parallel CPT criterion must agree exactly,
+// and SCOAP must mark exactly the observable nets as finite.
 func TestExhaustiveObsOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
@@ -113,7 +110,6 @@ func TestExhaustiveObsOnTrees(t *testing.T) {
 			t.Fatalf("tree %d: pattern totals differ: %d vs %d", i, cptTotal, total)
 		}
 		sm := scoap.Compute(n)
-		cm := cop.Compute(n)
 		for id := int32(0); id < int32(n.NumGates()); id++ {
 			switch n.Type(id) {
 			case netlist.Output, netlist.Obs:
@@ -122,11 +118,6 @@ func TestExhaustiveObsOnTrees(t *testing.T) {
 			if cpt[id] != exact[id] {
 				t.Errorf("tree %d cell %d (%s): CPT count %d != exhaustive %d",
 					i, id, n.Type(id), cpt[id], exact[id])
-			}
-			want := float64(exact[id]) / float64(total)
-			if math.Abs(cm.Obs[id]-want) > 1e-9 {
-				t.Errorf("tree %d cell %d (%s): COP obs %.12f != exhaustive %.12f",
-					i, id, n.Type(id), cm.Obs[id], want)
 			}
 			if (sm.CO[id] == scoap.Unobservable) != (exact[id] == 0) {
 				t.Errorf("tree %d cell %d: SCOAP CO=%d vs exhaustive count %d",
@@ -142,9 +133,9 @@ func TestExhaustiveObsOnTrees(t *testing.T) {
 
 // TestExhaustiveObsInvariantsOnDAGs: on general reconvergent circuits
 // the heuristics are approximations, but the structural invariants must
-// hold: SCOAP and COP agree on which nets have no sink path at all,
-// such nets are exhaustively unobservable, and a net feeding a sink
-// directly is observed under every pattern.
+// hold: nets SCOAP finds no sink path for are exhaustively
+// unobservable, and a net feeding a sink directly is observed under
+// every pattern.
 func TestExhaustiveObsInvariantsOnDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sawUnobservable := false
@@ -161,19 +152,12 @@ func TestExhaustiveObsInvariantsOnDAGs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := scoap.Compute(n)
-		cm := cop.Compute(n)
 		for id := int32(0); id < int32(n.NumGates()); id++ {
 			switch n.Type(id) {
 			case netlist.Output, netlist.Obs:
 				continue
 			}
-			scoapDead := sm.CO[id] == scoap.Unobservable
-			copDead := cm.Obs[id] == 0
-			if scoapDead != copDead {
-				t.Errorf("dag %d cell %d (%s): SCOAP CO=%d but COP obs=%v — structural reachability disagreement",
-					i, id, n.Type(id), sm.CO[id], cm.Obs[id])
-			}
-			if scoapDead {
+			if sm.CO[id] == scoap.Unobservable {
 				sawUnobservable = true
 				if exact[id] != 0 {
 					t.Errorf("dag %d cell %d: SCOAP says unobservable but exhaustive count %d > 0", i, id, exact[id])
@@ -191,10 +175,9 @@ func TestExhaustiveObsInvariantsOnDAGs(t *testing.T) {
 }
 
 // TestScanBoundaryObservabilityAgreement is the minimized regression
-// for the disagreement the differential harness surfaced between COP
-// and every other engine: a scan flip-flop output driving observable
-// logic must not be reported unobservable (cop previously left every
-// DFF output at Obs = 0).
+// for a scan-boundary disagreement the differential harness surfaced: a
+// scan flip-flop output driving observable logic must not be reported
+// unobservable.
 func TestScanBoundaryObservabilityAgreement(t *testing.T) {
 	n := netlist.New("scan")
 	a := n.MustAddGate(netlist.Input, "a")
@@ -211,8 +194,5 @@ func TestScanBoundaryObservabilityAgreement(t *testing.T) {
 	}
 	if co := scoap.Compute(n).CO[d]; co == scoap.Unobservable {
 		t.Fatal("SCOAP: DFF output unobservable")
-	}
-	if obs := cop.Compute(n).Obs[d]; obs != 1 {
-		t.Fatalf("COP: DFF output obs = %v, want 1 (scan-boundary regression)", obs)
 	}
 }

@@ -41,10 +41,10 @@ const defaultThreshold = 0.5
 // shortened (never lengthened) by the request's timeout_ms.
 func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultTimeout
-	if timeoutMs > 0 {
-		if t := time.Duration(timeoutMs) * time.Millisecond; t < d {
-			d = t
-		}
+	// Compare in milliseconds: converting a huge timeoutMs to a Duration
+	// first would overflow into a negative, already-expired deadline.
+	if timeoutMs > 0 && timeoutMs < d.Milliseconds() {
+		d = time.Duration(timeoutMs) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }

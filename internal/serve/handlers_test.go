@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -262,6 +263,22 @@ func TestDeadlineExceeded504(t *testing.T) {
 	}
 	close(stub.release)
 	<-done
+}
+
+// TestHugeTimeoutKeepsDefaultDeadline: timeout_ms can only shorten the
+// deadline, so the largest value must leave the default in force rather
+// than overflow into an already-expired one.
+func TestHugeTimeoutKeepsDefaultDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Options{Predictor: &stubPredictor{}})
+	body, _ := json.Marshal(ScoreRequest{Netlist: tinyBench, TimeoutMs: math.MaxInt64})
+	resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("timeout_ms %d: status %d, want 200", int64(math.MaxInt64), resp.StatusCode)
+	}
 }
 
 func TestHealthzAndDraining(t *testing.T) {

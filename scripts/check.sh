@@ -20,9 +20,9 @@
 #      fails, incidental churn doesn't; see docs/TESTING.md)
 #   6. a short-budget fuzz smoke pass over every committed fuzz target
 #      (parser, SpMM, fault sim, inference forward, coarsening, the
-#      /v1/score request path), so the seed corpora keep executing and
-#      shallow crashers are caught pre-merge (FUZZTIME=0 skips, e.g. on
-#      slow CI)
+#      /v1/score, /v1/score/delta and /v1/opi request paths), so the
+#      seed corpora keep executing and shallow crashers are caught
+#      pre-merge (FUZZTIME=0 skips, e.g. on slow CI)
 #   7. documentation hygiene: every relative markdown link resolves, and
 #      every package carries a doc comment
 #   8. the bench-regression gate: cmd/benchcmp diffs the two most recent
@@ -96,6 +96,8 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzForward$'      -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzCoarsen$'      -fuzztime="$FUZZTIME" ./internal/coarsen
     go test -run='^$' -fuzz='^FuzzScoreRequest$' -fuzztime="$FUZZTIME" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzDeltaRequest$' -fuzztime="$FUZZTIME" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzOPIRequest$'   -fuzztime="$FUZZTIME" ./internal/serve
 else
     echo "== fuzz smoke skipped (FUZZTIME=0)"
 fi
