@@ -24,7 +24,8 @@
 // Benchmarks present in only one file are reported but never fail the
 // gate (the suite is allowed to grow); differing num_cpu between the
 // two artifacts produces a loud warning since timings are then not
-// comparable.
+// comparable, and a differing GEMM kernel (the artifact's "kernel"
+// field) a note.
 package main
 
 import (
@@ -149,6 +150,15 @@ func readBenchFile(path string) (*benchsuite.BenchFile, error) {
 	return &f, nil
 }
 
+// kernelName reads an artifact's kernel field; artifacts recorded before
+// the field existed ran the pure-Go loops.
+func kernelName(k string) string {
+	if k == "" {
+		return "go (unrecorded)"
+	}
+	return k
+}
+
 // compare prints a per-benchmark verdict table and returns how many
 // benchmarks regressed.
 func compare(oldF, newF *benchsuite.BenchFile, oldPath, newPath string, tol, allocTol, minNS float64, overrides tolOverrides, w io.Writer) int {
@@ -156,6 +166,9 @@ func compare(oldF, newF *benchsuite.BenchFile, oldPath, newPath string, tol, all
 	if oldF.NumCPU != newF.NumCPU || oldF.GOMAXPROCS != newF.GOMAXPROCS {
 		fmt.Fprintf(w, "WARNING: artifacts recorded on different machines (num_cpu %d vs %d, gomaxprocs %d vs %d); ns/op is not strictly comparable\n",
 			oldF.NumCPU, newF.NumCPU, oldF.GOMAXPROCS, newF.GOMAXPROCS)
+	}
+	if oldF.Kernel != newF.Kernel {
+		fmt.Fprintf(w, "NOTE: GEMM kernel %s -> %s; the dense-layer rows compare two kernels\n", kernelName(oldF.Kernel), kernelName(newF.Kernel))
 	}
 
 	oldBy := make(map[string]benchsuite.BenchResult, len(oldF.Benchmarks))

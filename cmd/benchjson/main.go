@@ -35,6 +35,7 @@ import (
 	"repro/internal/benchsuite"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -77,6 +78,7 @@ func main() {
 		NumCPU:        runtime.NumCPU(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		GitDescribe:   obs.GitDescribe(),
+		Kernel:        tensor.Kernel(),
 	}
 
 	for _, e := range benchsuite.All {

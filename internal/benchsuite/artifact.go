@@ -36,6 +36,7 @@ type BenchFile struct {
 	NumCPU        int              `json:"num_cpu"`
 	GOMAXPROCS    int              `json:"gomaxprocs"`
 	GitDescribe   string           `json:"git_describe,omitempty"`
+	Kernel        string           `json:"kernel,omitempty"` // tensor.Kernel(), "avx2" or "go"; absent before BENCH_0010, whose predecessors ran the Go loops
 	Benchmarks    []BenchResult    `json:"benchmarks"`
 	Counters      map[string]int64 `json:"counters,omitempty"`
 }

@@ -93,13 +93,10 @@ func (m *Model) weights32() *weights[float32] {
 	return m.w32
 }
 
-// apply computes out = in·W + b, followed by ReLU when relu is set.
+// apply computes out = in·W + b, followed by ReLU when relu is set, in
+// one pass over out.
 func (l *layer[T]) apply(out, in *tensor.Mat[T], relu bool) {
-	tensor.MatMul(out, in, &l.W)
-	out.AddRowVector(l.B)
-	if relu {
-		out.ReLUInPlace()
-	}
+	tensor.Affine(out, in, &l.W, l.B, relu)
 }
 
 // aggregate is the training pass's aggregator of one layer (Equation 1;

@@ -132,14 +132,19 @@ func (l *Linear) Forward(x *tensor.Dense) *tensor.Dense {
 // ForwardInto computes Y = X·W + b into dst (allocated when nil or of the
 // wrong shape) and returns it; lets inference paths reuse buffers.
 func (l *Linear) ForwardInto(dst, x *tensor.Dense) *tensor.Dense {
+	return l.affine(dst, x, false)
+}
+
+// affine is ForwardInto followed by ReLU when relu is set, in one pass
+// over dst (tensor.Affine).
+func (l *Linear) affine(dst, x *tensor.Dense, relu bool) *tensor.Dense {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear forward got %d features, want %d", x.Cols, l.In))
 	}
 	if dst == nil || dst.Rows != x.Rows || dst.Cols != l.Out {
 		dst = tensor.NewDense(x.Rows, l.Out)
 	}
-	tensor.MatMul(dst, x, l.wMat())
-	dst.AddRowVector(l.B.Data)
+	tensor.Affine(dst, x, l.wMat(), l.B.Data, relu)
 	return dst
 }
 
@@ -255,10 +260,7 @@ func (m *MLP) Forward(x *tensor.Dense) *tensor.Dense {
 	m.acts = m.acts[:0]
 	cur := x
 	for i, l := range m.Layers {
-		cur = l.Forward(cur)
-		if i+1 < len(m.Layers) {
-			cur.ReLUInPlace()
-		}
+		cur = l.affine(nil, cur, i+1 < len(m.Layers))
 		m.acts = append(m.acts, cur)
 	}
 	return cur

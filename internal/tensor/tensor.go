@@ -1,7 +1,9 @@
 // Package tensor provides the dense linear algebra needed by the neural
-// network layers: row-major matrices with cache-friendly matrix
-// multiplication (including the transposed variants used by
-// backpropagation) and elementwise kernels.
+// network layers: row-major matrices with a zero-skipping matrix
+// multiplication and its fused bias-and-ReLU form (affine.go: an AVX2
+// assembly row kernel on amd64, bit-identical to the pure-Go loops that
+// run elsewhere), the transposed variants used by backpropagation, and
+// elementwise kernels.
 //
 // The matrix type is generic over its element precision. Dense
 // (float64) carries training, gradient checking and exact inference;
@@ -162,57 +164,6 @@ func (d *Mat[T]) Dot(o *Mat[T]) T {
 		s += v * o.Data[i]
 	}
 	return s
-}
-
-// MatMul computes dst = a·b. dst must be a.Rows×b.Cols and distinct from
-// both operands. The kernel is the cache-friendly ikj ordering; zero
-// entries of a are skipped, which matters because post-ReLU activations
-// are sparse.
-func MatMul[T Float](dst, a, b *Mat[T]) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%d×%d)·(%d×%d)->(%d×%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		first := true
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			if first {
-				for j, bv := range brow {
-					crow[j] = av * bv
-				}
-				first = false
-				continue
-			}
-			// Four columns per iteration: each crow[j] still gets exactly
-			// one multiply-add per k, in k order, so the result is the
-			// same as the one-column loop; the unroll only makes the loop's
-			// speed independent of where the linker places it (a
-			// one-column loop straddling a 64-byte line ran up to 45%
-			// slower in some builds).
-			j := 0
-			for ; j+4 <= len(brow); j += 4 {
-				c, bv := crow[j:j+4:j+4], brow[j:j+4:j+4]
-				c[0] += av * bv[0]
-				c[1] += av * bv[1]
-				c[2] += av * bv[2]
-				c[3] += av * bv[3]
-			}
-			for ; j < len(brow); j++ {
-				crow[j] += av * brow[j]
-			}
-		}
-		if first {
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
 }
 
 // MatMulTransB computes dst = a·bᵀ. dst must be a.Rows×b.Rows.

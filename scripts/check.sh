@@ -19,7 +19,7 @@
 #      (set ~5 points under their measured coverage so real erosion
 #      fails, incidental churn doesn't; see docs/TESTING.md)
 #   6. a short-budget fuzz smoke pass over every committed fuzz target
-#      (parser, SpMM, fault sim, inference forward, coarsening, the
+#      (parser, SpMM, GEMM kernel, fault sim, inference forward, coarsening, the
 #      /v1/score, /v1/score/delta and /v1/opi request paths), so the
 #      seed corpora keep executing and shallow crashers are caught
 #      pre-merge (FUZZTIME=0 skips, e.g. on slow CI)
@@ -92,6 +92,7 @@ if [ "$FUZZTIME" != "0" ]; then
     echo "== fuzz smoke (${FUZZTIME} per target; FUZZTIME=0 to skip)"
     go test -run='^$' -fuzz='^FuzzNetlistParse$' -fuzztime="$FUZZTIME" ./internal/netlist
     go test -run='^$' -fuzz='^FuzzSparseMul$'    -fuzztime="$FUZZTIME" ./internal/sparse
+    go test -run='^$' -fuzz='^FuzzAffine$'       -fuzztime="$FUZZTIME" ./internal/tensor
     go test -run='^$' -fuzz='^FuzzBatchSim$'     -fuzztime="$FUZZTIME" ./internal/fault
     go test -run='^$' -fuzz='^FuzzForward$'      -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzCoarsen$'      -fuzztime="$FUZZTIME" ./internal/coarsen
