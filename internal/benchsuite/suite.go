@@ -243,19 +243,34 @@ func spmm50k(workers int) Bench {
 }
 
 // incrementalSCOAP and fullSCOAPRecompute compare the incremental
-// fan-in-cone observability update against a full recompute after one
-// insertion (DESIGN.md's incremental-update decision; Section 4 of the
-// paper).
+// observability update against a full recompute after one insertion
+// (DESIGN.md's incremental-update decision; Section 4 of the paper).
+// Each incremental iteration inserts and relaxes a fresh observation
+// point at a cell not yet observed, drawn in a seeded order; every 256
+// insertions the netlist and measures are cloned afresh off the clock.
 func incrementalSCOAP(b *testing.B) {
-	n := circuitgen.Generate("ab2", circuitgen.Config{Seed: 4, NumGates: 20000})
-	m := scoap.Compute(n)
-	op, err := n.InsertObservationPoint(int32(n.NumGates() / 3))
-	if err != nil {
-		b.Fatal(err)
+	base := circuitgen.Generate("ab2", circuitgen.Config{Seed: 4, NumGates: 20000})
+	baseMeas := scoap.Compute(base)
+	var cands []int32
+	for _, v := range rand.New(rand.NewSource(4)).Perm(base.NumGates()) {
+		if typ := base.Type(int32(v)); typ != netlist.Input && typ != netlist.Output {
+			cands = append(cands, int32(v))
+		}
 	}
+	var n *netlist.Netlist
+	var m *scoap.Measures
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			b.StopTimer()
+			n, m = base.Clone(), baseMeas.Clone()
+			b.StartTimer()
+		}
+		op, err := n.InsertObservationPoint(cands[i%len(cands)])
+		if err != nil {
+			b.Fatal(err)
+		}
 		m.UpdateAfterObservationPoint(n, op)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/nn"
 	"repro/internal/scoap"
+	"repro/internal/sparse"
 )
 
 // testGraph generates a small labeled graph. Labels here are synthetic
@@ -103,6 +105,45 @@ func TestAddObservationPointIncrementalGraph(t *testing.T) {
 	for j := 0; j < InputDim; j++ {
 		if g.X.At(int(p), j) != want[j] {
 			t.Errorf("op attr[%d] = %v, want %v", j, g.X.At(int(p), j), want[j])
+		}
+	}
+}
+
+// TestInPlaceCSRMatchesConversion inserts random observation points into
+// graphs whose CSRs are built (both, only P, or neither, with duplicate
+// fanin in the designs) and checks after every insertion that Pred() and
+// Succ() are == a fresh ToCSR() of the COO and its Transpose(): RowPtr,
+// ColIdx and Vals.
+func TestInPlaceCSRMatchesConversion(t *testing.T) {
+	same := func(a, b *sparse.CSR) bool {
+		return a.NumRows == b.NumRows && a.NumCols == b.NumCols && fmt.Sprint(a.RowPtr) == fmt.Sprint(b.RowPtr) &&
+			fmt.Sprint(a.ColIdx) == fmt.Sprint(b.ColIdx) && fmt.Sprint(a.Vals) == fmt.Sprint(b.Vals)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for built := 0; built < 3; built++ {
+		g := testGraph(int64(10+built), 250)
+		// A gate that reads one driver on two pins gives a weight-2 entry.
+		dup := g.PredCOO()
+		g.N++
+		dup.Grow(g.N, g.N)
+		dup.Append(int32(g.N-1), 3, 1)
+		dup.Append(int32(g.N-1), 3, 1)
+		g.X = growRows(g.X, g.N)
+		g.Labels = append(g.Labels, 0)
+		switch built {
+		case 0:
+			g.Succ()
+		case 1:
+			g.Pred()
+		}
+		for k := 0; k < 60; k++ {
+			g.AddObservationPoint(int32(rng.Intn(g.N)))
+			if k%7 == 0 || built == 0 {
+				want := g.PredCOO().ToCSR()
+				if !same(g.Pred(), want) || !same(g.Succ(), want.Transpose()) {
+					t.Fatalf("built %d, insertion %d: in-place CSRs differ from a fresh conversion", built, k)
+				}
+			}
 		}
 	}
 }

@@ -43,22 +43,17 @@ const COClamp = 1 << 20
 // X (N×4) and the directed adjacency split into a predecessor matrix P
 // (P[v][u] = 1 iff edge u→v) kept in COO form for O(1) incremental
 // updates. The successor matrix S is exactly Pᵀ. CSR forms of both are
-// built lazily and invalidated by mutation.
+// built lazily on first use; after that, AddObservationPoint updates
+// them in place. Slices obtained from them (PredList, SuccList and the
+// Entries forms) are valid only until the next mutation.
 type Graph struct {
 	N      int
 	X      *tensor.Dense // N×InputDim transformed attributes
 	Labels []int         // per node: 1 difficult-to-observe, 0 easy, -1 unknown
 
 	predCOO *sparse.COO
-	pred    *sparse.CSR // P
-	succ    *sparse.CSR // S = Pᵀ
-	// Stale flags mark the CSRs for rebuild-in-place after a mutation:
-	// the backing arrays are kept and refilled (ToCSRInto/TransposeInto),
-	// so the once-per-insertion rebuild in the OPI loop is allocation-free
-	// in steady state. Consequence: CSR views obtained from Pred()/Succ()
-	// (including PredList/SuccList slices) are valid only until the next
-	// graph mutation — every consumer in this repo re-fetches per use.
-	predStale, succStale bool
+	pred    *sparse.CSR // P, nil until first use
+	succ    *sparse.CSR // S = Pᵀ, nil until first use
 }
 
 // NewGraph creates an empty graph with capacity for n nodes.
@@ -102,23 +97,20 @@ func FromNetlist(n *netlist.Netlist, m *scoap.Measures) *Graph {
 	return g
 }
 
-// Pred returns the predecessor adjacency in CSR form, rebuilding it
-// (into the previous build's arrays) if the COO has been mutated. The
-// returned CSR is valid only until the next graph mutation.
+// Pred returns the predecessor adjacency in CSR form, converting the COO
+// on first use. Mutations update the returned matrix in place.
 func (g *Graph) Pred() *sparse.CSR {
-	if g.pred == nil || g.predStale {
-		g.pred = g.predCOO.ToCSRInto(g.pred)
-		g.predStale = false
+	if g.pred == nil {
+		g.pred = g.predCOO.ToCSR()
 	}
 	return g.pred
 }
 
-// Succ returns the successor adjacency S = Pᵀ in CSR form. The returned
-// CSR is valid only until the next graph mutation.
+// Succ returns the successor adjacency S = Pᵀ in CSR form, transposing
+// P on first use. Mutations update the returned matrix in place.
 func (g *Graph) Succ() *sparse.CSR {
-	if g.succ == nil || g.succStale {
-		g.succ = g.Pred().TransposeInto(g.succ)
-		g.succStale = false
+	if g.succ == nil {
+		g.succ = g.Pred().Transpose()
 	}
 	return g.succ
 }
@@ -135,6 +127,13 @@ func (g *Graph) NumEdges() int { return g.predCOO.NNZ() }
 // attribute [0,1,1,0] (before transform). It returns the new node index.
 // Attribute refreshes for the fan-in cone are the caller's job (see
 // SetAttributes), because they require SCOAP recomputation.
+//
+// CSRs already built are updated in place to what converting again
+// would give: P gains the row [target] at its end, and S = Pᵀ gains the
+// entry p at the end of row target (p exceeds every node already there,
+// so the transpose's column order holds) plus an empty row p. The edit
+// therefore costs one append to P and one tail shift in S, not two
+// whole-graph conversions.
 func (g *Graph) AddObservationPoint(target int32) int32 {
 	if target < 0 || int(target) >= g.N {
 		panic(fmt.Sprintf("core: observation target %d out of range", target))
@@ -143,6 +142,14 @@ func (g *Graph) AddObservationPoint(target int32) int32 {
 	g.N++
 	g.predCOO.Grow(g.N, g.N)
 	g.predCOO.Append(p, target, 1)
+	if g.pred != nil {
+		g.pred.Grow(g.N, g.N)
+		g.pred.AppendToRow(p, target, 1)
+	}
+	if g.succ != nil {
+		g.succ.Grow(g.N, g.N)
+		g.succ.AppendToRow(target, p, 1)
+	}
 
 	// Grow X by one row. The insertion flow appends one node at a time,
 	// so reallocating the whole matrix per insertion would be O(N) each;
@@ -161,7 +168,6 @@ func (g *Graph) AddObservationPoint(target int32) int32 {
 	copy(g.X.Row(int(p)), a[:])
 
 	g.Labels = append(g.Labels, 0) // an observed net is easy to observe
-	g.predStale, g.succStale = true, true
 	return p
 }
 

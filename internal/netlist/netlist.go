@@ -124,12 +124,14 @@ type Gate struct {
 // Netlist is a mutable gate-level netlist. The zero value is an empty
 // netlist ready for use. Gates are identified by dense int32 IDs in
 // insertion order. Derived structure (fanout lists, levels, topological
-// order) is computed lazily and invalidated on mutation.
+// order, the name index) is computed lazily on first use, and AddGate
+// extends whatever is already built.
 type Netlist struct {
 	Name  string
 	gates []Gate
 
-	// Lazily computed caches, invalidated by any mutation.
+	// Lazily computed caches; nil until first use, then kept current by
+	// AddGate.
 	fanout  [][]int32
 	topo    []int32
 	levels  []int32
@@ -184,7 +186,7 @@ func (n *Netlist) AddGate(t GateType, name string, fanin ...int32) (int32, error
 		}
 	}
 	n.gates = append(n.gates, Gate{Type: t, Name: name, Fanin: append([]int32(nil), fanin...)})
-	n.invalidate()
+	n.extendCaches(id)
 	return id, nil
 }
 
@@ -290,11 +292,29 @@ func (n *Netlist) buildFanout() {
 	}
 }
 
-func (n *Netlist) invalidate() {
-	n.fanout = nil
-	n.topo = nil
-	n.levels = nil
-	n.nameIdx = nil
+// extendCaches brings every built cache up to date with the cell id
+// just appended, so an edit such as an observation-point insertion costs
+// O(fanin) instead of a rebuild on the next query. A new cell changes no
+// existing cell's level or topological position: it reads only cells
+// already present and nothing reads it yet. Caches not yet built stay
+// lazy, so parsing pays nothing here.
+func (n *Netlist) extendCaches(id int32) {
+	g := &n.gates[id]
+	if n.fanout != nil {
+		for _, f := range g.Fanin {
+			n.fanout[f] = append(n.fanout[f], id)
+		}
+		n.fanout = append(n.fanout, nil)
+	}
+	if n.topo != nil {
+		n.topo = append(n.topo, id)
+	}
+	if n.levels != nil {
+		n.levels = append(n.levels, n.levelOf(g))
+	}
+	if n.nameIdx != nil && g.Name != "" {
+		n.nameIdx[g.Name] = id
+	}
 }
 
 // TopoOrder returns the cell IDs in a topological order (drivers before
@@ -321,23 +341,26 @@ func (n *Netlist) Levels() []int32 {
 	if n.levels != nil {
 		return n.levels
 	}
-	lv := make([]int32, len(n.gates))
+	n.levels = make([]int32, len(n.gates))
 	for _, id := range n.TopoOrder() {
-		g := &n.gates[id]
-		if g.Type.IsControllableSource() {
-			lv[id] = 0
-			continue
-		}
-		best := int32(-1)
-		for _, f := range g.Fanin {
-			if lv[f] > best {
-				best = lv[f]
-			}
-		}
-		lv[id] = best + 1
+		n.levels[id] = n.levelOf(&n.gates[id])
 	}
-	n.levels = lv
-	return lv
+	return n.levels
+}
+
+// levelOf computes g's level from the levels of its fanin, which must
+// already be in n.levels.
+func (n *Netlist) levelOf(g *Gate) int32 {
+	if g.Type.IsControllableSource() {
+		return 0
+	}
+	best := int32(-1)
+	for _, f := range g.Fanin {
+		if n.levels[f] > best {
+			best = n.levels[f]
+		}
+	}
+	return best + 1
 }
 
 // MaxLevel returns the maximum logic level in the design (the depth).

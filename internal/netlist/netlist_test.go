@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -349,6 +350,77 @@ func TestClone(t *testing.T) {
 	if n.CountType(Obs) != 0 {
 		t.Errorf("mutating clone affected original")
 	}
+}
+
+// TestAddGateExtendsBuiltCaches grows random netlists by random AddGate
+// and InsertObservationPoint calls, each netlist with a different subset
+// of its caches built, and checks after every call that each built cache
+// is == its recomputation on a Clone, and that unbuilt caches stay
+// unbuilt.
+func TestAddGateExtendsBuiltCaches(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for mask := 0; mask < 16; mask++ {
+		n := randomNetlist(int64(mask), 60)
+		if mask&1 != 0 {
+			n.Fanout(0)
+		}
+		if mask&2 != 0 {
+			n.TopoOrder()
+		}
+		if mask&4 != 0 {
+			n.Levels()
+		}
+		if mask&8 != 0 {
+			n.IDByName("")
+		}
+		for k := 0; k < 40; k++ {
+			target := int32(rng.Intn(n.NumGates()))
+			if typ := n.Type(target); typ == Output || typ == Obs {
+				continue
+			}
+			if k%2 == 0 {
+				if _, err := n.InsertObservationPoint(target); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// A gate reading target on both pins, named after an
+				// existing cell half the time so the index must move.
+				name := fmt.Sprintf("x%d", k)
+				if k%4 == 1 {
+					name = n.Gate(int32(rng.Intn(n.NumGates()))).Name
+				}
+				n.MustAddGate(And, name, target, target)
+			}
+			c := n.Clone()
+			if n.fanout != nil && fmt.Sprint(n.fanout) != fmt.Sprint(fanoutsOf(c)) {
+				t.Fatalf("mask %d step %d: fanout %v, recomputed %v", mask, k, n.fanout, fanoutsOf(c))
+			}
+			if n.topo != nil && fmt.Sprint(n.topo) != fmt.Sprint(c.TopoOrder()) {
+				t.Fatalf("mask %d step %d: topo %v, recomputed %v", mask, k, n.topo, c.TopoOrder())
+			}
+			if n.levels != nil && fmt.Sprint(n.levels) != fmt.Sprint(c.Levels()) {
+				t.Fatalf("mask %d step %d: levels %v, recomputed %v", mask, k, n.levels, c.Levels())
+			}
+			if n.nameIdx != nil {
+				c.IDByName("")
+				if fmt.Sprint(n.nameIdx) != fmt.Sprint(c.nameIdx) {
+					t.Fatalf("mask %d step %d: name index differs from its recomputation", mask, k)
+				}
+			}
+			if (n.fanout != nil) != (mask&1 != 0) || (n.levels != nil) != (mask&4 != 0) || (n.nameIdx != nil) != (mask&8 != 0) {
+				t.Fatalf("mask %d step %d: a cache was built or dropped by AddGate", mask, k)
+			}
+		}
+	}
+}
+
+// fanoutsOf returns every cell's fanout list of a netlist.
+func fanoutsOf(n *Netlist) [][]int32 {
+	out := make([][]int32, n.NumGates())
+	for i := range out {
+		out[i] = n.Fanout(int32(i))
+	}
+	return out
 }
 
 func BenchmarkFanoutBuild(b *testing.B) {

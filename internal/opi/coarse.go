@@ -125,16 +125,14 @@ func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pr
 			return res, nil
 		}
 
-		lv := append([]int32(nil), n.Levels()...)
 		dirtySeen := make(map[int32]bool, len(dirty))
 		for _, v := range selected {
-			_, touched, err := InsertAndRefresh(n, meas, g, v, lv)
+			_, touched, err := InsertAndRefresh(n, meas, g, v, n.Levels())
 			if err != nil {
 				// selected only contains insertable cells, so this is a
 				// programming error, not an input error.
 				panic(err)
 			}
-			lv = append(lv, lv[v]+1)
 			if _, err := c.AddObservationPoint(cg, v); err != nil {
 				panic(err) // the fine insertion succeeded; the mirror must too
 			}

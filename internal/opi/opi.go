@@ -7,8 +7,9 @@
 // the number of positive predictions inside its fan-in cone that one
 // observation point at that node would cover (Figure 6) — the top-ranked
 // locations receive observation points, the graph and SCOAP attributes
-// are updated incrementally (COO tuple appends + fan-in-cone attribute
-// refresh), and inference repeats until no positive predictions remain.
+// are updated incrementally (COO tuple appends, in-place CSR updates and
+// the attribute rows whose observability fell), and inference repeats
+// until no positive predictions remain.
 //
 // The baseline models a conventional testability-analysis tool:
 // SCOAP-observability-greedy insertion that repeatedly observes the
@@ -188,20 +189,15 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 			iterSpan.End()
 			return res
 		}
-		// Levels are computed once per iteration: OP insertions never
-		// change the level of an existing node (an Obs cell is a pure
-		// sink), so the per-insertion recomputation this loop used to do
-		// was N·insertions of wasted work. The slice is extended with the
-		// new OP's level after each insertion to stay index-aligned.
-		lv := append([]int32(nil), n.Levels()...)
 		for _, v := range selected {
-			_, touched, err := InsertAndRefresh(n, meas, g, v, lv)
+			// The netlist extends its cached levels per insertion, so
+			// this is a lookup, not a recomputation.
+			_, touched, err := InsertAndRefresh(n, meas, g, v, n.Levels())
 			if err != nil {
 				// selected only contains insertable nodes, so this is a
 				// programming error, not an input error.
 				panic(err)
 			}
-			lv = append(lv, lv[v]+1)
 			if incremental {
 				dirty = append(dirty, touched...)
 			}
@@ -285,10 +281,12 @@ type coneJob struct {
 func (j *coneJob) Do(i int) { j.cones[i] = j.n.FaninCone(j.nodes[i], j.limit) }
 
 // InsertAndRefresh performs one observation point insertion with all
-// incremental updates: netlist node+edge, SCOAP fan-in-cone relaxation,
-// COO adjacency tuples and attribute rows of affected nodes. lv holds
-// the logic levels of the pre-existing nodes (hoisted out of the
-// per-insertion path: levels of existing nodes are unaffected by an OP).
+// incremental updates: netlist node+edge, the SCOAP relaxation of the
+// cells whose observability falls, the COO tuple and in-place CSR
+// updates, and attribute rows of affected nodes. lv holds the logic
+// levels of at least the pre-existing nodes (n.Levels(), which an OP
+// leaves unchanged). No step walks the target's fan-in cone or rebuilds
+// a whole-design structure.
 // It returns the new OP node and the nodes whose attribute rows actually
 // changed — the dirty set for cached-embedding inference (the slice to
 // hand core.IncrementalRun.Update). An OP changes only observability

@@ -10,15 +10,15 @@
 // Values saturate at Unobservable rather than overflowing.
 //
 // Because the paper's iterative insertion flow repeatedly adds observation
-// points, the package also provides an incremental update that recomputes
-// observability only inside the fan-in cone of a new observation point
-// (Section 4 of the paper), which is asymptotically much cheaper than a
-// full backward pass.
+// points, the package also provides an incremental update after a new
+// observation point (Section 4 of the paper) that relaxes only the cells
+// whose observability actually falls, a handful where the fan-in cone
+// holds thousands.
 package scoap
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -63,7 +63,7 @@ func Compute(n *netlist.Netlist) *Measures {
 		m.CO[i] = Unobservable
 	}
 	for i := len(order) - 1; i >= 0; i-- {
-		m.updateObservability(n, order[i])
+		m.updateObservability(n, order[i], nil)
 	}
 	return m
 }
@@ -119,19 +119,20 @@ func (m *Measures) computeControllability(n *netlist.Netlist, id int32) {
 // updateObservability sets CO of cell id's fanin nets from id's own CO
 // (and sink status), taking the min with whatever other fanout branches
 // already contributed. It must be invoked in reverse topological order
-// with CO pre-initialized to Unobservable.
-func (m *Measures) updateObservability(n *netlist.Netlist, id int32) {
+// with CO pre-initialized to Unobservable. Every fanin whose CO falls is
+// added to fell when it is non-nil.
+func (m *Measures) updateObservability(n *netlist.Netlist, id int32, fell *worklist) {
 	g := n.Gate(id)
 	switch g.Type {
 	case netlist.Output, netlist.Obs:
 		// The sink itself is the observation: its input net is observable
 		// for free, and the sink's own CO is 0 by convention.
 		m.CO[id] = 0
-		m.lowerCO(g.Fanin[0], 0)
+		m.lowerCO(g.Fanin[0], 0, fell)
 		return
 	case netlist.DFF:
 		// Scan flip-flop: data input captured into the scan chain.
-		m.lowerCO(g.Fanin[0], 0)
+		m.lowerCO(g.Fanin[0], 0, fell)
 		return
 	case netlist.Input:
 		return
@@ -143,19 +144,19 @@ func (m *Measures) updateObservability(n *netlist.Netlist, id int32) {
 	fi := g.Fanin
 	switch g.Type {
 	case netlist.Buf, netlist.Not:
-		m.lowerCO(fi[0], satAdd(co, 1))
+		m.lowerCO(fi[0], satAdd(co, 1), fell)
 	case netlist.And, netlist.Nand:
 		// Propagating input i requires every other input at 1.
 		total := sumCC(m.CC1, fi)
 		for _, f := range fi {
 			others := satSub(total, m.CC1[f])
-			m.lowerCO(f, satAdd(satAdd(co, others), 1))
+			m.lowerCO(f, satAdd(satAdd(co, others), 1), fell)
 		}
 	case netlist.Or, netlist.Nor:
 		total := sumCC(m.CC0, fi)
 		for _, f := range fi {
 			others := satSub(total, m.CC0[f])
-			m.lowerCO(f, satAdd(satAdd(co, others), 1))
+			m.lowerCO(f, satAdd(satAdd(co, others), 1), fell)
 		}
 	case netlist.Xor, netlist.Xnor:
 		// Other inputs may hold either value, whichever is cheaper.
@@ -165,29 +166,40 @@ func (m *Measures) updateObservability(n *netlist.Netlist, id int32) {
 		}
 		for _, f := range fi {
 			others := satSub(total, min32(m.CC0[f], m.CC1[f]))
-			m.lowerCO(f, satAdd(satAdd(co, others), 1))
+			m.lowerCO(f, satAdd(satAdd(co, others), 1), fell)
 		}
 	}
 }
 
-func (m *Measures) lowerCO(id, v int32) {
+// lowerCO lowers CO[id] to v if v is smaller, adding id to fell (when
+// non-nil) if it did.
+func (m *Measures) lowerCO(id, v int32, fell *worklist) {
 	if v < m.CO[id] {
 		m.CO[id] = v
+		if fell != nil {
+			fell.add(id)
+		}
 	}
 }
 
 // UpdateAfterObservationPoint incrementally refreshes the measures after
 // op (an Obs cell already inserted into n) was added. Controllability is
 // unaffected by an observation point; observability can only decrease,
-// and only for cells in the fan-in cone of the observed net. The cone is
-// re-relaxed in reverse topological order.
+// and only for cells in the fan-in cone of the observed net.
 //
-// It returns the cells whose observability actually changed, in
-// relaxation (reverse topological) order. The relaxation typically
-// improves only the cells whose best observation path runs through the
-// new point — a small fraction of the cone — so callers propagating the
-// update further (attribute rows, cached GCN embeddings) need to touch
-// only those.
+// The measures are a fixpoint before the insertion, so a cell whose CO
+// did not fall would hand its fanins the same bounds as before, none of
+// them lower than what they already hold. The relaxation therefore
+// starts from the observed net, calls updateObservability only on cells
+// whose CO fell, and follows a fanin only when its CO falls in turn. It
+// takes them in decreasing ID order, which is reverse topological order,
+// so every cell is relaxed once, after all of its fanouts. The result
+// equals relaxing the whole fan-in cone, at the cost of the cells that
+// change (typically a handful, where the cone holds thousands).
+//
+// It returns the cells whose observability changed, in decreasing ID
+// order, so callers propagating the update further (attribute rows,
+// cached GCN embeddings) touch only those.
 func (m *Measures) UpdateAfterObservationPoint(n *netlist.Netlist, op int32) []int32 {
 	scoapIncremental.Inc()
 	// Grow the measure slices to cover the new cell(s).
@@ -199,28 +211,28 @@ func (m *Measures) UpdateAfterObservationPoint(n *netlist.Netlist, op int32) []i
 	m.computeControllability(n, op)
 	m.CO[op] = 0
 
-	target := n.Gate(op).Fanin[0]
-
-	// Relax the fan-in cone. IDs are topological, so processing cone
-	// members in decreasing ID order is reverse topological order.
-	cone := n.FaninCone(target, 0)
-	ids := append([]int32{target}, cone...)
-	sortDesc(ids)
-	before := make([]int32, len(ids))
-	for i, id := range ids {
-		before[i] = m.CO[id]
-	}
-	m.lowerCO(target, 0)
-	for _, id := range ids {
-		m.updateObservability(n, id)
-	}
-	changed := make([]int32, 0, len(ids)/4+1)
-	for i, id := range ids {
-		if m.CO[id] != before[i] {
-			changed = append(changed, id)
-		}
+	var fell worklist
+	m.lowerCO(n.Gate(op).Fanin[0], 0, &fell)
+	var changed []int32
+	for len(fell) > 0 {
+		id := fell[len(fell)-1]
+		fell = fell[:len(fell)-1]
+		changed = append(changed, id)
+		m.updateObservability(n, id, &fell)
 	}
 	return changed
+}
+
+// worklist holds the cells whose CO fell and that are not relaxed yet,
+// in increasing ID order without duplicates, so the last one is the next
+// to relax. A cell only ever adds its fanins, which have lower IDs, so
+// every cell is relaxed after all of its fanouts.
+type worklist []int32
+
+func (w *worklist) add(id int32) {
+	if i, found := slices.BinarySearch(*w, id); !found {
+		*w = slices.Insert(*w, i, id)
+	}
 }
 
 // Clone returns a deep copy of the measures.
@@ -295,8 +307,4 @@ func min32(a, b int32) int32 {
 		return a
 	}
 	return b
-}
-
-func sortDesc(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
 }

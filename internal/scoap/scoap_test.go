@@ -1,6 +1,8 @@
 package scoap
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +172,85 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestIncrementalRandomInsertionsMatchCompute inserts observation points
+// at random cells (DFFs and primary inputs included, some observed
+// twice) of register-rich designs. After every insertion the measures
+// must be == a full Compute, and the returned list must be exactly the
+// cells whose CO changed, in decreasing ID.
+func TestIncrementalRandomInsertionsMatchCompute(t *testing.T) {
+	insertions, dffTargets := 0, 0
+	for _, seed := range []int64{21, 22} {
+		n := circuitgen.Generate("rnd", circuitgen.Config{Seed: seed, NumGates: 500})
+		if n.CountType(netlist.DFF) == 0 {
+			t.Fatal("design has no DFFs")
+		}
+		m := Compute(n)
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < 120; k++ {
+			target := int32(rng.Intn(n.NumGates()))
+			if typ := n.Type(target); typ == netlist.Output || typ == netlist.Obs {
+				continue
+			}
+			if n.Type(target) == netlist.DFF {
+				dffTargets++
+			}
+			before := append([]int32(nil), m.CO...)
+			op, err := n.InsertObservationPoint(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := m.UpdateAfterObservationPoint(n, op)
+			insertions++
+
+			full := Compute(n)
+			for id := range full.CO {
+				if m.CC0[id] != full.CC0[id] || m.CC1[id] != full.CC1[id] || m.CO[id] != full.CO[id] {
+					t.Fatalf("seed %d insertion %d: cell %d is (%d,%d,%d), Compute (%d,%d,%d)", seed, k, id,
+						m.CC0[id], m.CC1[id], m.CO[id], full.CC0[id], full.CC1[id], full.CO[id])
+				}
+			}
+			var want []int32
+			for id := int32(len(before)) - 1; id >= 0; id-- {
+				if m.CO[id] != before[id] {
+					want = append(want, id)
+				}
+			}
+			if fmt.Sprint(changed) != fmt.Sprint(want) {
+				t.Fatalf("seed %d insertion %d: changed %v, want %v", seed, k, changed, want)
+			}
+		}
+	}
+	if insertions < 200 || dffTargets == 0 {
+		t.Fatalf("%d insertions, %d at DFFs: too few to count", insertions, dffTargets)
+	}
+}
+
+// TestIncrementalCellFallingTwiceIsListedOnce observes a net whose
+// observability reaches x through two branches, the cheaper one through
+// the lower-ID fanout, so x's CO falls twice in one relaxation: it must
+// be relaxed, and listed, once.
+func TestIncrementalCellFallingTwiceIsListedOnce(t *testing.T) {
+	n := netlist.New("twice")
+	a := n.MustAddGate(netlist.Input, "a")
+	b := n.MustAddGate(netlist.Input, "b")
+	x := n.MustAddGate(netlist.And, "x", a, b)
+	g1 := n.MustAddGate(netlist.Buf, "g1", x)
+	g2 := n.MustAddGate(netlist.Not, "g2", x)
+	y := n.MustAddGate(netlist.And, "y", g1, g2)
+	m := Compute(n)
+	op, err := n.InsertObservationPoint(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := m.UpdateAfterObservationPoint(n, op)
+	if want := []int32{y, g2, g1, x, b, a}; fmt.Sprint(changed) != fmt.Sprint(want) {
+		t.Fatalf("changed %v, want %v", changed, want)
+	}
+	if full := Compute(n); fmt.Sprint(m.CO) != fmt.Sprint(full.CO) {
+		t.Fatalf("CO %v, Compute %v", m.CO, full.CO)
+	}
+}
+
 func TestQuickInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		n := circuitgen.Generate("q", circuitgen.Config{Seed: seed, NumGates: 400})
@@ -245,16 +326,34 @@ func BenchmarkComputeFull20k(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalUpdate times one observation-point insertion and
+// its relaxation per iteration, each at a cell not yet observed, drawn in
+// a seeded order. Every 256 insertions the netlist and measures are
+// cloned afresh off the clock, so no iteration relaxes an insertion that
+// was already applied.
 func BenchmarkIncrementalUpdate(b *testing.B) {
-	n := circuitgen.Generate("b", circuitgen.Config{Seed: 1, NumGates: 20000})
-	m := Compute(n)
-	// Insert one OP mid-circuit and measure the incremental relaxation.
-	op, err := n.InsertObservationPoint(int32(n.NumGates() / 2))
-	if err != nil {
-		b.Fatal(err)
+	base := circuitgen.Generate("b", circuitgen.Config{Seed: 1, NumGates: 20000})
+	baseMeas := Compute(base)
+	var cands []int32
+	for _, v := range rand.New(rand.NewSource(1)).Perm(base.NumGates()) {
+		if typ := base.Type(int32(v)); typ != netlist.Input && typ != netlist.Output {
+			cands = append(cands, int32(v))
+		}
 	}
+	var n *netlist.Netlist
+	var m *Measures
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			b.StopTimer()
+			n, m = base.Clone(), baseMeas.Clone()
+			b.StartTimer()
+		}
+		op, err := n.InsertObservationPoint(cands[i%len(cands)])
+		if err != nil {
+			b.Fatal(err)
+		}
 		m.UpdateAfterObservationPoint(n, op)
 	}
 }

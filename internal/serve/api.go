@@ -203,11 +203,18 @@ type HealthResponse struct {
 	Inflight int64 `json:"inflight"`
 }
 
-// writeJSON writes v as a JSON response with the given status.
+// writeJSON writes v as a JSON response with the given status. It
+// encodes v before sending any header, so a value that cannot be encoded
+// (a NaN score, say) answers 500 naming the cause, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	out := bodies.Get()
+	out.b = out.b[:0]
+	if err := json.NewEncoder(out).Encode(v); err != nil {
+		writeError(w, ErrInternal, "encode response: "+err.Error())
+	} else {
+		writeBody(w, status, out.b)
+	}
+	bodies.Put(out)
 }
 
 // writeError writes the error envelope for the given category, deriving

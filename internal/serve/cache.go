@@ -40,6 +40,9 @@ type design struct {
 	// scored through the float32 path and no incremental session exists
 	// yet (run == nil); the first delta builds the session and drops it.
 	scores []float64
+	// text is the score text of the last delta response, from the first
+	// delta on; the next delta re-formats only the rows that changed.
+	text scoreText
 
 	// Stats for GET /v1/designs. created is set before the design is
 	// published; hits and lastAccess are guarded by the cache lock (they
@@ -73,12 +76,6 @@ func (d *design) ensureRun() {
 		d.run = d.pred.NewIncremental(d.g)
 		d.scores = nil
 	}
-}
-
-// snapshotScores copies the current probabilities out under the entry
-// lock; the run owns its Probs slice and refreshes it in place.
-func (d *design) snapshotScores() []float64 {
-	return append([]float64(nil), d.probs()...)
 }
 
 // designCache is the warm LRU of compiled designs, keyed by the

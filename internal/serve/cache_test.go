@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"repro/internal/circuitgen"
+	"repro/internal/netlist"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -134,4 +138,72 @@ func TestCacheDisabled(t *testing.T) {
 	if hresp.StatusCode != 404 {
 		t.Fatalf("delta on uncached design: status %d", hresp.StatusCode)
 	}
+}
+
+// TestDeltaRacesEvictionOfItsDesign chains deltas on one design while
+// another client submits fresh designs into a one-entry cache, so the
+// chained design is evicted at every point of a delta. Every delta must
+// answer 200 with a parsable body whose node count continues the chain,
+// or 404 once its design is gone; never a 500 or a panic (and, under
+// -race, never a data race).
+func TestDeltaRacesEvictionOfItsDesign(t *testing.T) {
+	_, ts := newTestServer(t, Options{Predictor: &stubPredictor{}, CacheEntries: 1})
+	text := benchText(t, circuitgen.Generate("race", circuitgen.Config{Seed: 2, NumGates: 200}))
+	n, _, _ := compileForTest(t, text)
+	var targets []int32
+	for v := int32(0); v < int32(n.NumGates()); v++ {
+		if typ := n.Type(v); typ != netlist.Input && typ != netlist.Output {
+			targets = append(targets, v)
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 120; i++ {
+			body, _ := json.Marshal(ScoreRequest{Netlist: fmt.Sprintf("# fresh %d\n%s", i, tinyBench)})
+			resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("fresh design %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("fresh design %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+	}()
+
+	id, nodes, ok200, ok404 := "", 0, 0, 0
+	for i := 0; i < 120; i++ {
+		if id == "" {
+			var r ScoreResponse
+			if code := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Netlist: text}, &r); code != 200 {
+				t.Fatalf("rescore: status %d", code)
+			}
+			id, nodes = r.Design, r.Nodes
+		}
+		observe := []int32{targets[i%len(targets)], targets[(7*i+3)%len(targets)]}
+		code, body := postRaw(t, ts.URL+"/v1/score/delta", DeltaRequest{Design: id, Observe: observe})
+		switch code {
+		case 200:
+			var r ScoreResponse
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatalf("delta %d: unparsable 200 body: %v", i, err)
+			}
+			if nodes += len(observe); r.Nodes != nodes || len(r.Scores) != nodes {
+				t.Fatalf("delta %d: nodes %d, %d scores, want %d", i, r.Nodes, len(r.Scores), nodes)
+			}
+			id = r.Design
+			ok200++
+		case 404:
+			id = ""
+			ok404++
+		default:
+			t.Fatalf("delta %d: status %d, body %s", i, code, body)
+		}
+	}
+	<-done
+	t.Logf("%d deltas answered 200, %d answered 404", ok200, ok404)
 }

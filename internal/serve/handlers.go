@@ -139,18 +139,32 @@ func (s *Server) compile(ctx context.Context, id string, body []byte) (*design, 
 	return d, nil
 }
 
-// scoreResponse snapshots a design's current scores into the wire shape
-// under the design lock.
-func (s *Server) scoreResponse(d *design, threshold float64, cached bool) ScoreResponse {
+// respondScore writes a design's current scores: the difficult list in a
+// rank phase, then the response in an encode phase. Both read the
+// design's live probabilities under its lock; the response is written
+// after the lock is released, from a pooled buffer that keeps nothing.
+func (s *Server) respondScore(w http.ResponseWriter, tr *obs.ReqTrace, d *design, threshold float64, cached bool) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return ScoreResponse{
+	ph := tr.StartPhase("rank")
+	resp := ScoreResponse{
 		Design:    s.cache.idOf(d),
 		Nodes:     d.net.NumGates(),
-		Scores:    d.snapshotScores(),
 		Difficult: difficultList(d.net, d.probs(), threshold),
 		Cached:    cached,
 	}
+	ph.End()
+	ph = tr.StartPhase("encode")
+	out := bodies.Get()
+	var err error
+	out.b, _, _, err = appendScoreResponse(out.b[:0], &resp, d.probs(), nil)
+	d.mu.Unlock()
+	if err != nil {
+		writeError(w, ErrInternal, "encode response: "+err.Error())
+	} else {
+		writeBody(w, http.StatusOK, out.b)
+	}
+	bodies.Put(out)
+	ph.End()
 }
 
 // difficultList collects the nodes at or above threshold, sorted by
@@ -209,10 +223,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	key := s.cache.hash(body)
 	if d, ok := s.cache.lookupSource(key, body); ok {
 		tr.Annotate("cache", "hit")
-		ph = tr.StartPhase("rank")
-		resp := s.scoreResponse(d, req.Threshold, true)
-		ph.End()
-		writeJSON(w, http.StatusOK, resp)
+		s.respondScore(w, tr, d, req.Threshold, true)
 		return
 	}
 	tr.Annotate("cache", "miss")
@@ -228,10 +239,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	ph = tr.StartPhase("rank")
-	resp := s.scoreResponse(d, req.Threshold, false)
-	ph.End()
-	writeJSON(w, http.StatusOK, resp)
+	s.respondScore(w, tr, d, req.Threshold, false)
 }
 
 // handleDelta implements POST /v1/score/delta: observation-point edits
@@ -296,15 +304,14 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The exact insertion recipe of the opi flow: netlist node + edge,
-	// SCOAP cone relaxation, COO appends, attribute refresh — then one
-	// incremental update over the combined dirty set. Levels are hoisted
-	// (an OP never changes an existing node's level) and extended per
-	// insertion to stay index-aligned.
-	lv := append([]int32(nil), d.net.Levels()...)
+	// SCOAP relaxation of the cells whose observability falls, COO append
+	// and in-place CSR update, attribute refresh — then one incremental
+	// update over the combined dirty set. The netlist keeps its levels
+	// current per insertion, so n.Levels() is a lookup.
 	var dirty []int32
 	ph = tr.StartPhase("apply")
 	for _, t := range targets {
-		_, touched, err := opi.InsertAndRefresh(d.net, d.meas, d.g, t, lv)
+		_, touched, err := opi.InsertAndRefresh(d.net, d.meas, d.g, t, d.net.Levels())
 		if err != nil {
 			// resolveTargets vetted every target, so nothing was mutated
 			// for this one; report it without applying the rest.
@@ -312,7 +319,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			writeFailure(w, badRequest("observe "+itoa32(t)+": "+err.Error()))
 			return
 		}
-		lv = append(lv, lv[t]+1)
 		dirty = append(dirty, touched...)
 	}
 	ph.End()
@@ -334,14 +340,21 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	resp := ScoreResponse{
 		Design:    newID,
 		Nodes:     d.net.NumGates(),
-		Scores:    d.snapshotScores(),
 		Difficult: difficultList(d.net, probs, req.Threshold),
 		Cached:    true,
 		Updated:   len(dirty),
 		Inserted:  inserted,
 	}
 	ph.End()
-	writeJSON(w, http.StatusOK, resp)
+	// The response is written under the design lock: its score text is
+	// the design's kept text, which the next delta rewrites.
+	ph = tr.StartPhase("encode")
+	if b, err := d.text.encode(&resp, probs); err != nil {
+		writeError(w, ErrInternal, "encode response: "+err.Error())
+	} else {
+		writeBody(w, http.StatusOK, b)
+	}
+	ph.End()
 }
 
 // resolveTargets validates and merges a delta's id- and name-addressed
@@ -501,7 +514,9 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 	if req.Design != "" {
 		resp.Design = baseID
 	}
+	ph = tr.StartPhase("encode")
 	writeJSON(w, http.StatusOK, resp)
+	ph.End()
 }
 
 // evaluateCoverage fault-simulates the netlist with a bounded random

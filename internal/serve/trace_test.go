@@ -105,7 +105,7 @@ func TestRequestIDEchoAndTracePhaseSum(t *testing.T) {
 		sum += ph.DurNS
 		byName[ph.Name] += ph.DurNS
 	}
-	for _, want := range []string{"decode", "queue", "parse", "scoap", "forward", "rank"} {
+	for _, want := range []string{"decode", "queue", "parse", "scoap", "forward", "rank", "encode"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("phase %q missing from %v", want, byName)
 		}

@@ -105,28 +105,16 @@ func (m *COO) MulDense(dst, x *tensor.Dense) {
 	}
 }
 
-// ToCSR converts to CSR, summing duplicates.
-func (m *COO) ToCSR() *CSR { return m.ToCSRInto(nil) }
-
-// ToCSRInto is ToCSR writing into dst's backing arrays when their
-// capacity allows, reallocating with headroom otherwise. A nil dst
-// allocates fresh. Returns dst. The incremental OPI loop rebuilds the
-// adjacency CSR after every insertion; reusing the previous build's
-// arrays makes the rebuild allocation-free in steady state. dst must
-// not be read concurrently with the conversion, and must not alias a
-// CSR the caller still needs.
-func (m *COO) ToCSRInto(dst *CSR) *CSR {
-	if dst == nil {
-		dst = &CSR{}
+// ToCSR converts to CSR, summing duplicates. Each row keeps its
+// entries in the order of their first tuple.
+func (m *COO) ToCSR() *CSR {
+	dst := &CSR{
+		NumRows: m.NumRows, NumCols: m.NumCols,
+		RowPtr: make([]int32, m.NumRows+1),
+		ColIdx: make([]int32, len(m.Vals)),
+		Vals:   make([]float64, len(m.Vals)),
 	}
-	dst.NumRows, dst.NumCols = m.NumRows, m.NumCols
-	dst.RowPtr = growInt32(dst.RowPtr, m.NumRows+1)
-	dst.ColIdx = growInt32(dst.ColIdx, len(m.Vals))
-	dst.Vals = growFloat64(dst.Vals, len(m.Vals))
 	rowPtr := dst.RowPtr
-	for i := range rowPtr {
-		rowPtr[i] = 0
-	}
 	for _, r := range m.Rows {
 		rowPtr[r+1]++
 	}
@@ -135,7 +123,7 @@ func (m *COO) ToCSRInto(dst *CSR) *CSR {
 	}
 	// Scatter with rowPtr[r] as the per-row write cursor, then shift the
 	// cursors (now row ends) back into start form — a counting-sort trick
-	// that removes the per-call `next` scratch array the old code kept.
+	// that needs no per-call `next` scratch array.
 	for i, v := range m.Vals {
 		r := m.Rows[i]
 		p := rowPtr[r]
@@ -147,23 +135,6 @@ func (m *COO) ToCSRInto(dst *CSR) *CSR {
 	rowPtr[0] = 0
 	dst.sumDuplicatesInPlace()
 	return dst
-}
-
-// growInt32 reslices buf to length n, reallocating with 25% headroom
-// when capacity is insufficient.
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n, n+n/4)
-	}
-	return buf[:n]
-}
-
-// growFloat64 is growInt32 for float64 buffers.
-func growFloat64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n, n+n/4)
-	}
-	return buf[:n]
 }
 
 // CSR is a sparse matrix in compressed sparse row format. Row i's entries
@@ -187,9 +158,8 @@ func (m *CSR) NNZ() int { return len(m.Vals) }
 // merging: stamp[c] holds the generation that last saw column c and
 // pos[c] where that entry was written. Bumping gen once per row
 // invalidates every stamp at once, so the arrays are never cleared —
-// the epoch trick. Replaces the map[int32]int32 the old code allocated
-// on every CSR conversion (a hot allocation in the incremental OPI
-// loop, which rebuilds CSR after each insertion).
+// the epoch trick. Every compiled design converts its adjacency once,
+// so the scratch is kept rather than allocated per conversion.
 type dedupScratch struct {
 	stamp []int64
 	pos   []int32
@@ -198,7 +168,8 @@ type dedupScratch struct {
 
 // dedupScratches keeps the scratch on a par.Free list rather than in a
 // sync.Pool, which drops items at every collection (and, under the race
-// detector, at random), so a steady-state rebuild never allocates.
+// detector, at random), so a steady-state conversion allocates only its
+// result.
 var dedupScratches = par.NewFree[dedupScratch]()
 
 // sumDuplicatesInPlace merges duplicate column entries within each row
@@ -235,6 +206,45 @@ func (m *CSR) sumDuplicatesInPlace() {
 	m.ColIdx = m.ColIdx[:w]
 	m.Vals = m.Vals[:w]
 	dedupScratches.Put(s)
+}
+
+// Grow enlarges the logical dimensions to rows×cols (never shrinks); the
+// new rows are empty. With AppendToRow it updates a built CSR in place
+// when the graph gains a node, instead of converting again.
+func (m *CSR) Grow(rows, cols int) {
+	for m.NumRows < rows {
+		m.RowPtr = append(m.RowPtr, m.RowPtr[m.NumRows])
+		m.NumRows++
+	}
+	if cols > m.NumCols {
+		m.NumCols = cols
+	}
+}
+
+// AppendToRow adds the entry (c, v) after the last entry of row r,
+// moving the entries of the rows below it up by one: an append when r
+// is the last row, one tail shift otherwise. When row r does not hold c
+// yet, the result is exactly ToCSR of the source COO with the tuple
+// (r, c, v) appended; when c also exceeds every column in row r, it is
+// exactly Transpose of a matrix that gained the entry (c, r).
+func (m *CSR) AppendToRow(r, c int32, v float64) {
+	if r < 0 || int(r) >= m.NumRows || c < 0 || int(c) >= m.NumCols {
+		panic(fmt.Sprintf("sparse: AppendToRow(%d,%d) outside the %d×%d bounds", r, c, m.NumRows, m.NumCols))
+	}
+	end := m.RowPtr[r+1]
+	for _, have := range m.ColIdx[m.RowPtr[r]:end] {
+		if have == c {
+			panic(fmt.Sprintf("sparse: AppendToRow(%d,%d) onto an existing entry", r, c))
+		}
+	}
+	m.ColIdx = append(m.ColIdx, 0)
+	m.Vals = append(m.Vals, 0)
+	copy(m.ColIdx[end+1:], m.ColIdx[end:])
+	copy(m.Vals[end+1:], m.Vals[end:])
+	m.ColIdx[end], m.Vals[end] = c, v
+	for i := int(r) + 1; i <= m.NumRows; i++ {
+		m.RowPtr[i]++
+	}
 }
 
 // MulDense computes dst = m·x; dst must be NumRows×x.Cols.
@@ -441,34 +451,23 @@ func (m *CSR) MulDenseTrans(dst, x *tensor.Dense) {
 	}
 }
 
-// Transpose returns mᵀ as a new CSR.
-func (m *CSR) Transpose() *CSR { return m.TransposeInto(nil) }
-
-// TransposeInto is Transpose writing into dst's backing arrays when
-// their capacity allows, reallocating with headroom otherwise. A nil
-// dst allocates fresh. dst must not be m itself. Returns dst.
-func (m *CSR) TransposeInto(dst *CSR) *CSR {
-	if dst == m {
-		panic("sparse: TransposeInto dst must not alias the receiver")
+// Transpose returns mᵀ as a new CSR. Row c of the result lists the rows
+// of m that hold column c, in increasing order.
+func (m *CSR) Transpose() *CSR {
+	dst := &CSR{
+		NumRows: m.NumCols, NumCols: m.NumRows,
+		RowPtr: make([]int32, m.NumCols+1),
+		ColIdx: make([]int32, len(m.Vals)),
+		Vals:   make([]float64, len(m.Vals)),
 	}
-	if dst == nil {
-		dst = &CSR{}
-	}
-	dst.NumRows, dst.NumCols = m.NumCols, m.NumRows
-	dst.RowPtr = growInt32(dst.RowPtr, m.NumCols+1)
-	dst.ColIdx = growInt32(dst.ColIdx, len(m.Vals))
-	dst.Vals = growFloat64(dst.Vals, len(m.Vals))
 	rowPtr := dst.RowPtr
-	for i := range rowPtr {
-		rowPtr[i] = 0
-	}
 	for _, c := range m.ColIdx {
 		rowPtr[c+1]++
 	}
 	for i := 1; i <= m.NumCols; i++ {
 		rowPtr[i] += rowPtr[i-1]
 	}
-	// Same cursor-then-shift trick as ToCSRInto: no `next` scratch.
+	// Same cursor-then-shift trick as ToCSR: no `next` scratch.
 	for r := 0; r < m.NumRows; r++ {
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
 			c := m.ColIdx[p]

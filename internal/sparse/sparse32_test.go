@@ -87,47 +87,91 @@ func TestSumDuplicatesScratchReuse(t *testing.T) {
 	}
 }
 
-// TestToCSRIntoReuse converts twice into the same destination and checks
-// the second conversion reuses the backing arrays and matches a fresh
-// conversion exactly.
-func TestToCSRIntoReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	dst := &CSR{}
-	var prevCap int
-	for trial := 0; trial < 20; trial++ {
-		m := randCOO(rng, 30, 30, 60, true)
-		dst = m.ToCSRInto(dst)
-		fresh := m.ToCSR()
-		if d := tensor.MaxAbsDiff(dst.ToDense(), fresh.ToDense()); d != 0 {
-			t.Fatalf("trial %d: ToCSRInto differs from ToCSR by %g", trial, d)
+// TestTransposeRoundTrip checks Transpose against the dense transpose
+// and that transposing twice gives the original matrix back.
+func TestTransposeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randCOO(rng, 25, 40, 120, true).ToCSR()
+	mt := m.Transpose()
+	if mt.NumRows != 40 || mt.NumCols != 25 {
+		t.Fatalf("transpose shape %d×%d, want 40×25", mt.NumRows, mt.NumCols)
+	}
+	d, dt := m.ToDense(), mt.ToDense()
+	for i := 0; i < 25; i++ {
+		for j := 0; j < 40; j++ {
+			if d.At(i, j) != dt.At(j, i) {
+				t.Fatalf("Transpose[%d][%d] = %g, want %g", j, i, dt.At(j, i), d.At(i, j))
+			}
 		}
-		if trial > 0 && cap(dst.Vals) < prevCap {
-			t.Fatalf("trial %d: capacity shrank %d -> %d", trial, prevCap, cap(dst.Vals))
-		}
-		prevCap = cap(dst.Vals)
+	}
+	if d := tensor.MaxAbsDiff(mt.Transpose().ToDense(), m.ToDense()); d != 0 {
+		t.Fatalf("double transpose differs from original by %g", d)
 	}
 }
 
-// TestTransposeInto checks dst reuse, equality with Transpose, and the
-// self-aliasing panic.
-func TestTransposeInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randCOO(rng, 25, 40, 120, true).ToCSR()
-	dst := m.TransposeInto(nil)
-	if d := tensor.MaxAbsDiff(dst.ToDense(), m.Transpose().ToDense()); d != 0 {
-		t.Fatalf("TransposeInto differs from Transpose by %g", d)
-	}
-	// Round trip through the same buffers.
-	back := dst.TransposeInto(&CSR{})
-	if d := tensor.MaxAbsDiff(back.ToDense(), m.ToDense()); d != 0 {
-		t.Fatalf("double transpose differs from original by %g", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TransposeInto(self) should panic")
+// TestAppendToRowMatchesConversion grows a CSR and its transpose the way
+// an observation-point insertion grows the graph's adjacency, one new
+// node and one entry at a time, and compares both array for array with
+// converting the grown COO again.
+func TestAppendToRowMatchesConversion(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(30)
+		coo := randCOO(rng, n, n, rng.Intn(3*n), true)
+		csr := coo.ToCSR()
+		tr := csr.Transpose()
+		for step := 0; step < 10; step++ {
+			// A new last row holding one entry, as P gains [target], and
+			// the new node at the end of row target of the transpose.
+			target := int32(rng.Intn(n))
+			n++
+			coo.Grow(n, n)
+			coo.Append(int32(n-1), target, 1)
+			csr.Grow(n, n)
+			csr.AppendToRow(int32(n-1), target, 1)
+			tr.Grow(n, n)
+			tr.AppendToRow(target, int32(n-1), 1)
+			want := coo.ToCSR()
+			if !equalCSR(csr, want) {
+				t.Fatalf("trial %d step %d: in-place %v, converted %v", trial, step, csr, want)
+			}
+			if wantT := want.Transpose(); !equalCSR(tr, wantT) {
+				t.Fatalf("trial %d step %d: in-place transpose %v, converted %v", trial, step, tr, wantT)
+			}
 		}
-	}()
-	m.TransposeInto(m)
+	}
+	m := randCOO(rng, 4, 4, 0, false).ToCSR()
+	m.AppendToRow(1, 2, 1)
+	for _, bad := range [][2]int32{{1, 2}, {4, 0}, {0, 4}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendToRow(%d,%d) should panic", bad[0], bad[1])
+				}
+			}()
+			m.AppendToRow(bad[0], bad[1], 1)
+		}()
+	}
+}
+
+// equalCSR reports whether a and b hold the same shape and the same
+// RowPtr, ColIdx and Vals, element for element.
+func equalCSR(a, b *CSR) bool {
+	if a.NumRows != b.NumRows || a.NumCols != b.NumCols ||
+		len(a.RowPtr) != len(b.RowPtr) || len(a.ColIdx) != len(b.ColIdx) || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != b.RowPtr[i] {
+			return false
+		}
+	}
+	for i := range a.ColIdx {
+		if a.ColIdx[i] != b.ColIdx[i] || a.Vals[i] != b.Vals[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestGrowNegativePanics pins the new Grow validation and that Grow
@@ -221,34 +265,17 @@ func TestToDense32(t *testing.T) {
 	}
 }
 
-// TestToCSRIntoAllocFree asserts the steady-state conversion is
-// allocation-free: after a warm-up conversion sized the destination and
-// the pooled dedup scratch, repeated rebuilds must not allocate.
-func TestToCSRIntoAllocFree(t *testing.T) {
+// TestToCSRAllocatesOnlyItsResult asserts that a conversion, after a
+// warm-up that sized the pooled dedup scratch, allocates only the CSR it
+// returns: the struct and its three arrays.
+func TestToCSRAllocatesOnlyItsResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := randCOO(rng, 200, 200, 2000, true)
-	dst := m.ToCSRInto(nil) // warm: sizes dst and the dedup pool
+	m.ToCSR() // warm: sizes the dedup scratch
 	avg := testing.AllocsPerRun(50, func() {
-		dst = m.ToCSRInto(dst)
+		m.ToCSR()
 	})
-	// sync.Pool can miss occasionally (GC between runs); allow a small
-	// average but fail on per-call allocation.
-	if avg > 0.5 {
-		t.Fatalf("ToCSRInto allocates %.2f objects/op in steady state, want ~0", avg)
-	}
-}
-
-// BenchmarkToCSRInto measures the steady-state CSR rebuild (the
-// incremental OPI loop's hot conversion); allocs/op is the headline —
-// the pooled epoch-stamp dedup and reused destination should hold it
-// at zero.
-func BenchmarkToCSRInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randCOO(rng, 5000, 5000, 25000, true)
-	dst := m.ToCSRInto(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = m.ToCSRInto(dst)
+	if avg > 4 {
+		t.Fatalf("ToCSR allocates %.2f objects/op, want the result's 4", avg)
 	}
 }

@@ -20,7 +20,8 @@
 #      fails, incidental churn doesn't; see docs/TESTING.md)
 #   6. a short-budget fuzz smoke pass over every committed fuzz target
 #      (parser, SpMM, GEMM kernel, fault sim, inference forward, coarsening, the
-#      /v1/score, /v1/score/delta and /v1/opi request paths), so the
+#      /v1/score, /v1/score/delta and /v1/opi request paths, the score
+#      text writer against encoding/json), so the
 #      seed corpora keep executing and shallow crashers are caught
 #      pre-merge (FUZZTIME=0 skips, e.g. on slow CI)
 #   7. documentation hygiene: every relative markdown link resolves, and
@@ -99,6 +100,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzScoreRequest$' -fuzztime="$FUZZTIME" ./internal/serve
     go test -run='^$' -fuzz='^FuzzDeltaRequest$' -fuzztime="$FUZZTIME" ./internal/serve
     go test -run='^$' -fuzz='^FuzzOPIRequest$'   -fuzztime="$FUZZTIME" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzScoreText$'    -fuzztime="$FUZZTIME" ./internal/serve
 else
     echo "== fuzz smoke skipped (FUZZTIME=0)"
 fi
