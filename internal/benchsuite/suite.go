@@ -101,17 +101,17 @@ func fig10Matrix(b *testing.B) {
 	forward(b, core.MustNewModel(core.DefaultConfig()), fig10())
 }
 
-// fig10MatrixF32 scores the same point through the float32 forward path;
-// the delta against Fig10MatrixInference is the end-to-end payoff of
-// precision narrowing on the recording host.
+// fig10MatrixF32 scores the same point through the float32 scoring call,
+// which narrows the weights on every call; the delta against
+// Fig10MatrixInference is the end-to-end payoff of precision narrowing
+// on the recording host.
 func fig10MatrixF32(b *testing.B) {
 	g, m := fig10(), core.MustNewModel(core.DefaultConfig())
-	m.SetFloat32Inference(true)
-	m.PredictProbs(g) // build the CSRs and the narrowed weights once
+	m.PredictProbs32(g) // build the CSRs once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictProbs(g)
+		m.PredictProbs32(g)
 	}
 }
 
@@ -189,11 +189,11 @@ func csrMul(b *testing.B) {
 // delta is the memory-bandwidth saving of halving the dense operand.
 func csrMul32(b *testing.B) {
 	w := ab1()
-	csr, dst := w.g.Pred(), tensor.NewDense32(w.g.N, 32)
+	csr, dst := w.g.Pred(), tensor.New[float32](w.g.N, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		csr.MulDense32(dst, w.x32)
+		sparse.Mul(csr, dst, w.x32, 1)
 	}
 }
 

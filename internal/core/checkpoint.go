@@ -128,22 +128,6 @@ func LoadCheckpointFile(path string) (IncrementalPredictor, error) {
 	return pred, nil
 }
 
-// ClonePredictor returns a deep copy of a known predictor type (*Model
-// or *MultiStage) with its own parameter and scratch storage, safe to
-// use concurrently with the original. Other types are returned
-// unchanged; callers needing isolation for such predictors must provide
-// it themselves.
-func ClonePredictor(pred IncrementalPredictor) IncrementalPredictor {
-	switch p := pred.(type) {
-	case *Model:
-		return p.Clone()
-	case *MultiStage:
-		return p.Clone()
-	default:
-		return pred
-	}
-}
-
 // paramValues flattens the trainable parameters of a stage list into the
 // wire layout, recording the parameter names of the first stage for
 // diagnostics.

@@ -91,30 +91,41 @@ func TestSaveCheckpointRejectsUnknownPredictor(t *testing.T) {
 	}
 }
 
-func TestClonePredictorIsolation(t *testing.T) {
+// TestCloneIsolation pins that Model.Clone and MultiStage.Clone copy the
+// parameters: a clone scores as its original, and perturbing it leaves
+// the original's scores as they were. The trainer's worker replicas rely
+// on it.
+func TestCloneIsolation(t *testing.T) {
 	m, g := trainTiny(t)
-	clone := ClonePredictor(m).(*Model)
-	if clone == m {
-		t.Fatal("ClonePredictor returned the original model")
+	mc := m.Clone()
+	checkCloneIsolation(t, "Model", g, m, mc, mc.Params()[0].Data)
+
+	ms := &MultiStage{Stages: []*Model{m, m.Clone()}, FilterBelow: 0.25}
+	msc := ms.Clone()
+	if msc.FilterBelow != ms.FilterBelow || len(msc.Stages) != len(ms.Stages) {
+		t.Fatalf("MultiStage clone: filter %g with %d stages, want %g with %d",
+			msc.FilterBelow, len(msc.Stages), ms.FilterBelow, len(ms.Stages))
 	}
-	want := m.PredictProbs(g)
+	checkCloneIsolation(t, "MultiStage", g, ms, msc, msc.Stages[1].Params()[0].Data)
+}
+
+// checkCloneIsolation checks that clone scores g as orig does, then
+// perturbs param, one of the clone's parameters, and checks that orig
+// still scores as before.
+func checkCloneIsolation(t *testing.T, name string, g *Graph, orig, clone IncrementalPredictor, param []float64) {
+	t.Helper()
+	want := orig.PredictProbs(g)
 	got := clone.PredictProbs(g)
 	for v := range want {
 		if want[v] != got[v] {
-			t.Fatalf("node %d: clone prob %g != %g", v, got[v], want[v])
+			t.Fatalf("%s node %d: clone prob %g != %g", name, v, got[v], want[v])
 		}
 	}
-	// Perturbing the clone must not affect the original.
-	clone.Params()[0].Data[0] += 1
-	again := m.PredictProbs(g)
+	param[0] += 1
+	again := orig.PredictProbs(g)
 	for v := range want {
 		if want[v] != again[v] {
-			t.Fatalf("node %d: original changed after clone perturbation", v)
+			t.Fatalf("%s node %d: original changed after clone perturbation", name, v)
 		}
-	}
-
-	ms := &MultiStage{Stages: []*Model{m}, FilterBelow: 0.25}
-	if ClonePredictor(ms).(*MultiStage) == ms {
-		t.Fatal("ClonePredictor returned the original cascade")
 	}
 }

@@ -8,39 +8,16 @@ import (
 )
 
 // This file is the model's one inference forward. Forward, Predict,
-// PredictProbs and ForwardFull all run infer; training (forward) and
-// the incremental session (UpdateIncremental) run the same aggregate and
-// encoder steps.
+// PredictProbs, PredictProbs32 and ForwardFull all run infer; training
+// (forward) and the incremental session (UpdateIncremental) run the same
+// aggregate and encoder steps.
 // The precision is a type parameter: float64 is the exact path, float32
-// the narrow scoring mode of DESIGN.md decision 10, in which trained
-// parameters are narrowed once into a cached bundle and the pass runs
-// with float32 SpMM and matmul kernels, roughly halving its memory
-// traffic. Training, gradient checking and the incremental session stay
-// float64; the refcheck differential suite pins the f32/f64 divergence
-// at ≤1e-4 relative error over seeded circuits.
-
-// Float32Inferencer is the capability the serving/CLI layers probe to
-// flip a loaded predictor into float32 scoring. *Model and *MultiStage
-// implement it.
-type Float32Inferencer interface {
-	SetFloat32Inference(on bool)
-	Float32Inference() bool
-}
-
-// SetFloat32Inference toggles the float32 scoring path for Predict and
-// PredictProbs. Enabling (or re-enabling) drops any cached narrowed
-// weights so the next prediction re-converts from the current float64
-// parameters — call it again after mutating parameters by hand. Load and
-// CopyParamsFrom invalidate the cache automatically. Forward,
-// ForwardFull / NewIncremental (the incremental session) and training
-// always run float64 regardless of this flag.
-func (m *Model) SetFloat32Inference(on bool) {
-	m.f32 = on
-	m.w32 = nil
-}
-
-// Float32Inference reports whether float32 scoring is enabled.
-func (m *Model) Float32Inference() bool { return m.f32 }
+// the narrow scoring call of DESIGN.md decision 10 (PredictProbs32), which
+// narrows the trained parameters for that call and runs the pass with
+// float32 SpMM and matmul kernels, roughly halving its memory traffic.
+// Training, gradient checking and the incremental session stay float64;
+// the refcheck differential suite pins the f32/f64 divergence at ≤1e-4
+// relative error over seeded circuits.
 
 // layer is one linear layer's parameters in precision T.
 type layer[T tensor.Float] struct {
@@ -50,8 +27,8 @@ type layer[T tensor.Float] struct {
 
 // weights is a model's parameters in precision T. In float64 the
 // matrices alias the trainable parameters, so building the bundle costs
-// a few headers; in float32 they are a narrowed copy, built once per
-// parameter change and cached on the Model (weights32).
+// a few headers; in float32 they are a narrowed copy owned by the call
+// that built it.
 type weights[T tensor.Float] struct {
 	wpr, wsu T
 	enc, fc  []layer[T]
@@ -83,14 +60,6 @@ func params[T tensor.Float](xs []float64) []T {
 		out[i] = T(v)
 	}
 	return out
-}
-
-// weights32 returns the cached float32 parameters, narrowing them once.
-func (m *Model) weights32() *weights[float32] {
-	if m.w32 == nil {
-		m.w32 = newWeights[float32](m)
-	}
-	return m.w32
 }
 
 // apply computes out = in·W + b, followed by ReLU when relu is set, in
@@ -358,26 +327,4 @@ func probs[T tensor.Float](logits *tensor.Mat[T]) []float64 {
 		out[i] = p.At(i, 1)
 	}
 	return out
-}
-
-// SetFloat32Inference flips every stage of the cascade; the combining
-// logic (cascadeProb) is precision-agnostic.
-func (ms *MultiStage) SetFloat32Inference(on bool) {
-	for _, s := range ms.Stages {
-		s.SetFloat32Inference(on)
-	}
-}
-
-// Float32Inference reports whether the cascade's stages score in
-// float32 (true only when every stage does).
-func (ms *MultiStage) Float32Inference() bool {
-	if len(ms.Stages) == 0 {
-		return false
-	}
-	for _, s := range ms.Stages {
-		if !s.Float32Inference() {
-			return false
-		}
-	}
-	return true
 }

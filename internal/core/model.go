@@ -62,6 +62,11 @@ func (c Config) validate() error {
 //
 // with the scalar weights wpr and wsu shared across depths and learned
 // end-to-end together with the encoder matrices W_d and the classifier.
+//
+// The inference calls (Forward, Embeddings, Predict, PredictProbs,
+// PredictProbs32, ForwardFull, NewIncremental and the session's updates)
+// only read the Model, so one Model may serve any number of concurrent
+// callers. Training and the recursive baseline (InferRecursive) write it.
 type Model struct {
 	Cfg Config
 
@@ -69,13 +74,6 @@ type Model struct {
 	Wsu *nn.Param // successor aggregation weight (scalar)
 	Enc []*nn.Linear
 	FC  *nn.MLP
-
-	// f32 enables the float32 scoring path (see infer.go); w32 caches the
-	// narrowed parameters. Per-call buffers are pooled scratch, never kept
-	// on the Model, but the cache makes a Model unsafe for concurrent use
-	// all the same; the trainer gives each worker its own replica.
-	f32 bool
-	w32 *weights[float32]
 }
 
 // NewModel initializes a model from cfg using cfg.Seed.
@@ -140,14 +138,12 @@ func (m *Model) NumParams() int {
 func (m *Model) Clone() *Model {
 	c := MustNewModel(m.Cfg)
 	c.CopyParamsFrom(m)
-	c.f32 = m.f32
 	return c
 }
 
 // CopyParamsFrom copies parameter values (not gradients) from src;
 // architectures must match.
 func (m *Model) CopyParamsFrom(src *Model) {
-	m.w32 = nil // cached f32 weights no longer match
 	dst, s := m.Params(), src.Params()
 	if len(dst) != len(s) {
 		panic("core: CopyParamsFrom architecture mismatch")
@@ -255,20 +251,21 @@ func (m *Model) backward(g *Graph, cache *forwardCache, dlogits *tensor.Dense) {
 	}
 }
 
-// Predict returns the positive-class probability for every node. With
-// SetFloat32Inference(true) the pass runs in float32 (infer.go);
-// otherwise exact float64.
-func (m *Model) Predict(g *Graph) []float64 {
-	if m.f32 {
-		logits, _ := infer(m.weights32(), g, false)
-		return probs(logits)
-	}
-	return probs(m.Forward(g))
-}
+// Predict returns the positive-class probability for every node, in
+// exact float64.
+func (m *Model) Predict(g *Graph) []float64 { return probs(m.Forward(g)) }
 
 // PredictProbs is an alias of Predict satisfying the insertion flow's
 // Predictor interface (MultiStage exposes the same method).
 func (m *Model) PredictProbs(g *Graph) []float64 { return m.Predict(g) }
+
+// PredictProbs32 is Predict through the float32 forward (DESIGN.md
+// decision 10). The weights are narrowed for this call only, so nothing
+// is cached on the Model.
+func (m *Model) PredictProbs32(g *Graph) []float64 {
+	logits, _ := infer(newWeights[float32](m), g, false)
+	return probs(logits)
+}
 
 // PredictLabels thresholds Predict at 0.5.
 func (m *Model) PredictLabels(g *Graph) []int {

@@ -164,10 +164,7 @@ func stageWeight(remaining, positives int) float64 {
 }
 
 // Clone returns a cascade with the same filter threshold and per-stage
-// architecture, with copied parameter values and fresh scratch state.
-// Like (*Model).Clone it exists for consumers that need concurrent
-// inference — a MultiStage is not safe for concurrent use because its
-// stages are not.
+// architecture, with copied parameter values.
 func (ms *MultiStage) Clone() *MultiStage {
 	c := &MultiStage{FilterBelow: ms.FilterBelow}
 	for _, s := range ms.Stages {
@@ -210,9 +207,21 @@ func (ms *MultiStage) Predict(g *Graph) []int {
 // nodes filtered at stage s get the (low) probability assigned by that
 // stage, survivors get the final stage's probability.
 func (ms *MultiStage) PredictProbs(g *Graph) []float64 {
+	return ms.cascade(g, (*Model).Predict)
+}
+
+// PredictProbs32 is PredictProbs with every stage scored by its float32
+// call (Model.PredictProbs32); the cascade decision is the same.
+func (ms *MultiStage) PredictProbs32(g *Graph) []float64 {
+	return ms.cascade(g, (*Model).PredictProbs32)
+}
+
+// cascade scores g with every stage through score and combines the
+// stages' probabilities per node with cascadeProb.
+func (ms *MultiStage) cascade(g *Graph, score func(*Model, *Graph) []float64) []float64 {
 	stageProbs := make([][]float64, len(ms.Stages))
 	for s, model := range ms.Stages {
-		stageProbs[s] = model.Predict(g)
+		stageProbs[s] = score(model, g)
 	}
 	out := make([]float64, g.N)
 	for v := range out {

@@ -106,13 +106,12 @@ func TestTiledInferenceMatchesTrainingForward(t *testing.T) {
 // the same bits with one worker and with two.
 func TestTiledFloat32IndependentOfWorkers(t *testing.T) {
 	m := MustNewModel(DefaultConfig())
-	m.SetFloat32Inference(true)
 	for name, g := range tileGraphs() {
 		var one, two []float64
-		atProcs(1, func() { one = m.Predict(g) })
-		atProcs(2, func() { two = m.Predict(g) })
+		atProcs(1, func() { one = m.PredictProbs32(g) })
+		atProcs(2, func() { two = m.PredictProbs32(g) })
 		if !sameProbs(one, two) {
-			t.Errorf("%s: float32 Predict differs between one and two workers", name)
+			t.Errorf("%s: PredictProbs32 differs between one and two workers", name)
 		}
 	}
 }
@@ -133,13 +132,11 @@ func TestTiledMultiStage(t *testing.T) {
 				}
 			})
 		}
-		ms.SetFloat32Inference(true)
 		var one, two []float64
-		atProcs(1, func() { one = ms.PredictProbs(g) })
-		atProcs(2, func() { two = ms.PredictProbs(g) })
-		ms.SetFloat32Inference(false)
+		atProcs(1, func() { one = ms.PredictProbs32(g) })
+		atProcs(2, func() { two = ms.PredictProbs32(g) })
 		if !sameProbs(one, two) {
-			t.Errorf("%s: cascade float32 PredictProbs differs between one and two workers", name)
+			t.Errorf("%s: cascade PredictProbs32 differs between one and two workers", name)
 		}
 	}
 }

@@ -19,7 +19,7 @@ type poolCase struct {
 	positives map[int32]bool
 	x         *tensor.Dense // an SpMM operand
 	logits    *tensor.Dense // Model.Forward
-	probs32   []float64     // float32 Model.Predict
+	probs32   []float64     // Model.PredictProbs32
 	incr      []float64     // the incremental session after editCase
 	spmm      *tensor.Dense // P·x
 	sel       []int32       // selectByImpact
@@ -57,11 +57,14 @@ func sameFloats(a, b []float64) bool {
 
 // TestConcurrentCallersShareThePool runs whole-graph forwards in both
 // precisions, incremental updates, parallel SpMM and cone ranking from
-// several goroutines at once, so they all contend for the shared par
-// helpers and pooled runs, and checks each result is == to the same call
-// made alone. Run it under -race.
+// several goroutines at once, all on one shared Model, so they contend
+// for the model, the shared par helpers and pooled runs, and checks each
+// result is == to the same call made alone. The serial answers come from
+// a clone, so the workers are the model's first callers. Run it under
+// -race.
 func TestConcurrentCallersShareThePool(t *testing.T) {
 	m := core.MustNewModel(core.DefaultConfig())
+	ref := m.Clone()
 	cfg := FlowConfig{}.withDefaults()
 	var cases []*poolCase
 	for i := int64(0); i < 3; i++ {
@@ -77,11 +80,9 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 		for k := range c.x.Data {
 			c.x.Data[k] = rng.NormFloat64()
 		}
-		c.logits = m.Forward(g)
-		m32 := m.Clone()
-		m32.SetFloat32Inference(true)
-		c.probs32 = m32.Predict(g)
-		c.incr = editCase(m, g, 100+i)
+		c.logits = ref.Forward(g)
+		c.probs32 = ref.PredictProbs32(g)
+		c.incr = editCase(ref, g, 100+i)
 		c.spmm = tensor.NewDense(g.N, 16)
 		g.Pred().MulDense(c.spmm, c.x)
 		c.sel = selectByImpact(n, c.positives, cfg)
@@ -92,8 +93,6 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			m32 := m.Clone()
-			m32.SetFloat32Inference(true)
 			for round := 0; round < 2; round++ {
 				c := cases[(w+round)%len(cases)]
 				switch (w + round) % 4 {
@@ -101,8 +100,8 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 					if got := m.Forward(c.g); tensor.MaxAbsDiff(got, c.logits) != 0 {
 						t.Errorf("worker %d: concurrent Forward differs from the serial one", w)
 					}
-					if got := m32.Predict(c.g); !sameFloats(got, c.probs32) {
-						t.Errorf("worker %d: concurrent float32 Predict differs from the serial one", w)
+					if got := m.PredictProbs32(c.g); !sameFloats(got, c.probs32) {
+						t.Errorf("worker %d: concurrent PredictProbs32 differs from the serial one", w)
 					}
 				case 1:
 					if got := editCase(m, c.g, 100+int64((w+round)%len(cases))); !sameFloats(got, c.incr) {

@@ -7,10 +7,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/scoap"
-	"repro/internal/tensor"
 )
 
-// This file is the differential harness for the float32 inference mode
+// This file is the differential harness for the float32 scoring call
 // (DESIGN.md decision 10): the f32 scoring path must track the exact
 // float64 path within F32Tolerance on every node of every seeded
 // circuit, and the MultiStage cascade must make the same filter/classify
@@ -30,15 +29,11 @@ const F32Tolerance = 1e-4
 const ThresholdMargin = 1e-3
 
 // CheckModelF32 runs the exact float64 Predict and the float32 scoring
-// path of one model over a netlist's graph and returns an error if any
+// call of one model over a netlist's graph and returns an error if any
 // node's probability diverges beyond F32Tolerance.
 func CheckModelF32(m *core.Model, n *netlist.Netlist) error {
 	g := core.FromNetlist(n, scoap.Compute(n))
-	p64 := m.Predict(g)
-	c := m.Clone()
-	c.SetFloat32Inference(true)
-	p32 := c.Predict(g)
-	return compareProbs("Model", p64, p32)
+	return compareProbs("Model", m.Predict(g), m.PredictProbs32(g))
 }
 
 // CheckMultiStageF32 runs a cascade in both precisions and checks (a)
@@ -48,14 +43,7 @@ func CheckModelF32(m *core.Model, n *netlist.Netlist) error {
 // is at least ThresholdMargin away from the threshold.
 func CheckMultiStageF32(ms *core.MultiStage, n *netlist.Netlist) error {
 	g := core.FromNetlist(n, scoap.Compute(n))
-	p64 := ms.PredictProbs(g)
-	c := ms.Clone()
-	c.SetFloat32Inference(true)
-	if !c.Float32Inference() {
-		return fmt.Errorf("SetFloat32Inference(true) did not stick on the cascade clone")
-	}
-	p32 := c.PredictProbs(g)
-	if err := compareProbs("MultiStage", p64, p32); err != nil {
+	if err := compareProbs("MultiStage", ms.PredictProbs(g), ms.PredictProbs32(g)); err != nil {
 		return err
 	}
 	// Per-stage threshold re-check: filtering decisions must agree off
@@ -63,8 +51,7 @@ func CheckMultiStageF32(ms *core.MultiStage, n *netlist.Netlist) error {
 	// independent GCNs, so this is exactly what PredictProbs consumed).
 	for s, stage := range ms.Stages {
 		s64 := stage.Predict(g)
-		stage32 := c.Stages[s]
-		s32 := stage32.Predict(g)
+		s32 := stage.PredictProbs32(g)
 		thresh := ms.FilterBelow
 		if s == len(ms.Stages)-1 {
 			thresh = 0.5
@@ -98,7 +85,3 @@ func compareProbs(kind string, p64, p32 []float64) error {
 	}
 	return nil
 }
-
-// MaxRelDiff32 is MaxRelDiff with a float32 left-hand side (widened
-// exactly), for comparing f32 kernel outputs against float64 references.
-func MaxRelDiff32(a *tensor.Dense32, b *tensor.Dense) float64 { return MaxRelDiff(a.ToDense(), b) }

@@ -41,9 +41,10 @@ func TestDifferentialFloat32Inference(t *testing.T) {
 	}
 }
 
-// TestFloat32WeightInvalidation pins the weights32 cache contract:
-// parameter updates via CopyParamsFrom must invalidate the narrowed
-// weights, so predictions follow the new parameters.
+// TestFloat32WeightInvalidation pins that the float32 call follows
+// CopyParamsFrom: it narrows the current parameters on every call, so
+// after a parameter swap it scores exactly as the model the parameters
+// came from. A narrowed-weight cache on the Model would fail it.
 func TestFloat32WeightInvalidation(t *testing.T) {
 	n := circuitgen.Generate("inval", circuitgen.Config{Seed: 4, NumGates: 80, NumPIs: 10})
 	cfg := core.DefaultConfig()
@@ -51,31 +52,23 @@ func TestFloat32WeightInvalidation(t *testing.T) {
 	cfg.Seed = 99
 	b := core.MustNewModel(cfg)
 
-	f32 := a.Clone()
-	f32.SetFloat32Inference(true)
-	if !f32.Float32Inference() {
-		t.Fatal("flag did not stick")
-	}
 	if err := CheckModelF32(a, n); err != nil {
 		t.Fatalf("before param swap: %v", err)
 	}
-	// Score once (builds the cached weights32), swap parameters, score
-	// again: the f32 prediction must now track model b, not model a.
+	// Score once, swap parameters, score again: the f32 prediction must
+	// now be model b's, not model a's.
 	g := core.FromNetlist(n, scoap.Compute(n))
-	_ = f32.Predict(g)
+	f32 := a.Clone()
+	_ = f32.PredictProbs32(g)
 	f32.CopyParamsFrom(b)
-	got := f32.Predict(g)
-	want := b.Predict(g)
+	got := f32.PredictProbs32(g)
+	want := b.PredictProbs32(g)
 	for v := range want {
-		if d := abs(got[v] - want[v]); d > F32Tolerance {
-			t.Fatalf("node %d: stale weights32 survived CopyParamsFrom (off by %g)", v, d)
+		if got[v] != want[v] {
+			t.Fatalf("node %d: float32 score %g after CopyParamsFrom, want %g", v, got[v], want[v])
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+	if err := CheckModelF32(f32, n); err != nil {
+		t.Fatalf("after param swap: %v", err)
 	}
-	return x
 }

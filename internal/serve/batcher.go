@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -18,7 +19,8 @@ import (
 // It is a hand-rolled single-flight (the repository is stdlib-only);
 // unlike typical implementations the wait is deadline-aware: a rider
 // whose context expires stops waiting and reports the deadline error
-// while the leader's work continues for the benefit of the others.
+// while the leader's work continues for the benefit of the others, and
+// a rider whose leader ran out of time compiles for itself.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -43,10 +45,17 @@ func newFlightGroup() *flightGroup {
 // do executes fn once per key among concurrent callers. The first caller
 // (the leader) runs fn synchronously; concurrent callers with the same
 // key (riders) block until the leader finishes or their context expires.
-// The boolean result reports whether this caller was the leader.
+// A rider shares the leader's result and error, except a context error
+// while the rider's own context is live: the leader's deadline is not
+// the rider's, so the rider calls do again and leads or rides a new
+// flight. The boolean result reports whether this caller was the leader.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (*design, error)) (*design, bool, error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
+	for {
+		g.mu.Lock()
+		c, ok := g.calls[key]
+		if !ok {
+			break // g.mu is still held: this caller leads
+		}
 		g.mu.Unlock()
 		mBatchCoalesced.Inc()
 		tr := obs.RequestFromContext(ctx)
@@ -58,6 +67,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*design, er
 		select {
 		case <-c.done:
 			ph.End()
+			if isContextErr(c.err) && ctx.Err() == nil {
+				continue
+			}
 			return c.val, false, c.err
 		case <-ctx.Done():
 			ph.End()
@@ -85,4 +97,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*design, er
 		c.val, c.err = fn()
 	}()
 	return c.val, true, c.err
+}
+
+// isContextErr reports whether err is a context's cancellation or
+// deadline error.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }

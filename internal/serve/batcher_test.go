@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -93,5 +96,69 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 	d, leader, err := g.do(context.Background(), "k", func() (*design, error) { return &design{id: "k"}, nil })
 	if err != nil || !leader || d.id != "k" {
 		t.Fatalf("d=%v leader=%v err=%v", d, leader, err)
+	}
+}
+
+// TestRiderOutlivesLeaderDeadline: a leader that fails on its own
+// context's deadline must not fail a rider whose context is live; that
+// rider runs its own function instead. A rider whose own deadline has
+// passed still gets the deadline error, which answers 504, and never
+// runs its function.
+func TestRiderOutlivesLeaderDeadline(t *testing.T) {
+	g := newFlightGroup()
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.do(context.Background(), "k", func() (*design, error) {
+			close(started)
+			<-release
+			return nil, context.DeadlineExceeded
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	type result struct {
+		d      *design
+		leader bool
+		err    error
+	}
+	coalescedBefore := mBatchCoalesced.Value()
+	live, expired := make(chan result, 1), make(chan result, 1)
+	go func() {
+		d, leader, err := g.do(context.Background(), "k", func() (*design, error) {
+			return &design{id: "rider"}, nil
+		})
+		live <- result{d, leader, err}
+	}()
+	go func() {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		d, leader, err := g.do(ctx, "k", func() (*design, error) {
+			t.Error("a rider whose deadline has passed ran its function")
+			return nil, nil
+		})
+		expired <- result{d, leader, err}
+	}()
+	// Both riders have provably joined the parked leader's flight.
+	waitUntil(t, 10*time.Second, func() bool {
+		return mBatchCoalesced.Value()-coalescedBefore >= 2
+	})
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader: err %v, want its own deadline", err)
+	}
+	if r := <-live; r.err != nil || !r.leader || r.d == nil || r.d.id != "rider" {
+		t.Fatalf("live rider: design %v, leader %v, err %v; want its own function's result", r.d, r.leader, r.err)
+	}
+	r := <-expired
+	if !errors.Is(r.err, context.DeadlineExceeded) || r.d != nil {
+		t.Fatalf("expired rider: design %v, err %v; want the deadline error", r.d, r.err)
+	}
+	rec := httptest.NewRecorder()
+	writeFailure(rec, r.err)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("expired rider answered %d, want 504", rec.Code)
 	}
 }

@@ -15,10 +15,9 @@ import (
 
 // design is one compiled, cached design: the parsed netlist, its SCOAP
 // measures, the GCN graph, and a live incremental-inference session with
-// warm cached embeddings. The predictor is a private clone (see
-// core.ClonePredictor) so concurrent compiles of different designs never
-// share model scratch state; mu serializes all use of the bundle, which
-// is mutated in place by /v1/score/delta.
+// warm cached embeddings. Every design scores with the server's one
+// shared predictor; mu serializes all use of the bundle, which is
+// mutated in place by /v1/score/delta.
 type design struct {
 	mu sync.Mutex
 
@@ -34,7 +33,6 @@ type design struct {
 	net  *netlist.Netlist
 	meas *scoap.Measures
 	g    *core.Graph
-	pred core.IncrementalPredictor
 	run  core.IncrementalRun
 	// scores holds the compile-time probabilities when the design was
 	// scored through the float32 path and no incremental session exists
@@ -66,14 +64,13 @@ func (d *design) probs() []float64 {
 	return d.scores
 }
 
-// ensureRun builds the float64 incremental session on first need (the
-// f32 compile path skips it; see Options.Float32Scoring). Callers must
-// hold the entry lock. The full forward pass it runs is exact float64
-// regardless of the predictor's f32 flag, so delta updates keep the
-// bit-identity contract.
-func (d *design) ensureRun() {
+// ensureRun builds the float64 incremental session with pred on first
+// need (the f32 compile path skips it; see Options.Float32Scoring).
+// Callers must hold the entry lock. The session's full forward pass is
+// exact float64, so delta updates keep the bit-identity contract.
+func (d *design) ensureRun(pred core.IncrementalPredictor) {
 	if d.run == nil {
-		d.run = d.pred.NewIncremental(d.g)
+		d.run = pred.NewIncremental(d.g)
 		d.scores = nil
 	}
 }

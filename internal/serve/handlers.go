@@ -74,11 +74,17 @@ func writeFailure(w http.ResponseWriter, err error) {
 		writeError(w, re.category, re.msg)
 	case errors.Is(err, errShed):
 		writeError(w, ErrOverloaded, "server at capacity; retry later")
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case isContextErr(err):
 		writeError(w, ErrDeadlineExceeded, "request deadline exceeded")
 	default:
 		writeError(w, ErrInternal, err.Error())
 	}
+}
+
+// float32Scorer is the float32 scoring call Options.Float32Scoring uses;
+// *core.Model and *core.MultiStage have it.
+type float32Scorer interface {
+	PredictProbs32(g *core.Graph) []float64
 }
 
 // compile parses, analyzes and scores a netlist, producing a cached
@@ -113,7 +119,6 @@ func (s *Server) compile(ctx context.Context, id string, body []byte) (*design, 
 		return nil, err
 	}
 	ph = tr.StartPhase("forward")
-	pred := core.ClonePredictor(s.opts.Predictor)
 	now := time.Now()
 	d := &design{
 		id:         id,
@@ -121,17 +126,15 @@ func (s *Server) compile(ctx context.Context, id string, body []byte) (*design, 
 		net:        n,
 		meas:       meas,
 		g:          g,
-		pred:       pred,
 		created:    now,
 		lastAccess: now,
 	}
-	if fi, ok := pred.(core.Float32Inferencer); ok && s.opts.Float32Scoring {
+	if f32, ok := s.opts.Predictor.(float32Scorer); ok && s.opts.Float32Scoring {
 		// f32 compile path: score now, defer the float64 incremental
 		// session to the first delta (see design.ensureRun).
-		fi.SetFloat32Inference(true)
-		d.scores = pred.PredictProbs(g)
+		d.scores = f32.PredictProbs32(g)
 	} else {
-		d.run = pred.NewIncremental(g) // the one full forward pass
+		d.run = s.opts.Predictor.NewIncremental(g) // the one full forward pass
 	}
 	d.nodes.Store(int64(n.NumGates()))
 	ph.End()
@@ -323,8 +326,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	ph.End()
 	ph = tr.StartPhase("forward")
-	d.ensureRun()            // f32-compiled designs build the f64 session here
-	d.run.Update(d.g, dirty) // appended OP nodes are implicitly dirty
+	d.ensureRun(s.opts.Predictor) // f32-compiled designs build the f64 session here
+	d.run.Update(d.g, dirty)      // appended OP nodes are implicitly dirty
 	ph.End()
 
 	newID := deltaID(req.Design, targets)
@@ -441,26 +444,18 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The design's current scores label the suggested points: /v1/score
+	// serves them for this design, and for a float64 design they are what
+	// the flow's first pass over the copy computes.
 	ph = tr.StartPhase("clone")
 	d.mu.Lock()
 	baseID := s.cache.idOf(d)
 	n := d.net.Clone()
 	meas := d.meas.Clone()
 	g := d.g.Clone()
+	probs0 := append([]float64(nil), d.probs()...)
 	d.mu.Unlock()
 	ph.End()
-
-	// Check out a predictor replica; admission bounds concurrent holders
-	// to the pool size, so this only blocks on deadline expiry.
-	var pred core.IncrementalPredictor
-	select {
-	case pred = <-s.pool:
-	case <-ctx.Done():
-		mDeadline.Inc()
-		writeFailure(w, ctx.Err())
-		return
-	}
-	defer func() { s.pool <- pred }()
 
 	maxPoints := req.MaxPoints
 	if maxPoints <= 0 {
@@ -474,8 +469,7 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 		before = &v
 	}
 	ph = tr.StartPhase("flow")
-	probs0 := pred.PredictProbs(g) // pre-flow scores for the suggestions
-	res := opi.RunFlow(n, meas, g, pred, opi.FlowConfig{
+	res := opi.RunFlow(n, meas, g, s.opts.Predictor, opi.FlowConfig{
 		Threshold:     req.Threshold,
 		PerIteration:  req.PerIteration,
 		MaxInsertions: maxPoints,

@@ -367,6 +367,36 @@ func TestOPIOnCachedDesignDoesNotMutateIt(t *testing.T) {
 	}
 }
 
+// TestOPIOnCachedDesignRunsOneForward: /v1/opi on a cached design pays
+// one full forward, the flow's own session over the copy, and labels its
+// points with the scores /v1/score serves for the design instead of
+// scoring the copy a second time.
+func TestOPIOnCachedDesignRunsOneForward(t *testing.T) {
+	stub := &stubPredictor{}
+	_, ts := newTestServer(t, Options{Predictor: stub})
+	var base ScoreResponse
+	if code := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Netlist: tinyBench}, &base); code != 200 {
+		t.Fatalf("score status %d", code)
+	}
+	forwards, predicts := stub.forwards.Load(), stub.predicts.Load()
+	var resp OPIResponse
+	if code := postJSON(t, ts.URL+"/v1/opi",
+		OPIRequest{Design: base.Design, Threshold: 1e-9, MaxPoints: 2}, &resp); code != 200 {
+		t.Fatalf("opi status %d", code)
+	}
+	if f, p := stub.forwards.Load()-forwards, stub.predicts.Load()-predicts; f != 1 || p != 0 {
+		t.Fatalf("opi opened %d sessions and made %d PredictProbs calls, want 1 and 0", f, p)
+	}
+	if len(resp.Points) == 0 {
+		t.Fatal("opi suggested no points")
+	}
+	for _, p := range resp.Points {
+		if p.Score != base.Scores[p.ID] {
+			t.Fatalf("point %d: score %g, /v1/score served %g", p.ID, p.Score, base.Scores[p.ID])
+		}
+	}
+}
+
 func TestOPIArgumentValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Predictor: &stubPredictor{}})
 	for _, tc := range []struct {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -272,10 +273,8 @@ func FuzzScoreText(f *testing.F) {
 	})
 }
 
-// nanPredictor scores every cell NaN through PredictProbs, and through
-// its incremental sessions scores even cells NaN and odd cells 0.9, so
-// the opi flow still selects points (at odd cells) whose pre-flow scores
-// are NaN.
+// nanPredictor scores every cell NaN, through PredictProbs and through
+// its incremental sessions alike.
 type nanPredictor struct{}
 
 func (nanPredictor) PredictProbs(g *core.Graph) []float64 {
@@ -296,19 +295,14 @@ type nanRun struct{ probs []float64 }
 
 func (r *nanRun) Probs() []float64 { return r.probs }
 
-func (r *nanRun) Update(g *core.Graph, _ []int32) {
-	r.probs = make([]float64, g.N)
-	for v := range r.probs {
-		r.probs[v] = 0.9
-		if v%2 == 0 {
-			r.probs[v] = math.NaN()
-		}
-	}
-}
+func (r *nanRun) Update(g *core.Graph, _ []int32) { r.probs = nanPredictor{}.PredictProbs(g) }
 
-// TestNonFiniteScoresAnswer500 sends every score endpoint a design its
-// predictor scores NaN: each must answer 500 with the internal category
-// and a message naming the cause, never a 200 with an empty body.
+// TestNonFiniteScoresAnswer500 sends the score endpoints a design its
+// predictor scores NaN, and writes an /v1/opi response whose point score
+// is NaN: each must answer 500 with the internal category and a message
+// naming the cause, never a 200 with an empty body. (A NaN-scoring
+// predictor gives the opi flow no positives, so /v1/opi itself has no
+// point to label; its writer is checked directly.)
 func TestNonFiniteScoresAnswer500(t *testing.T) {
 	_, ts := newTestServer(t, Options{Predictor: nanPredictor{}})
 	check := func(what string, code int, body []byte) {
@@ -324,6 +318,7 @@ func TestNonFiniteScoresAnswer500(t *testing.T) {
 	// The design was compiled and cached before its response failed.
 	code, body = postRaw(t, ts.URL+"/v1/score/delta", DeltaRequest{Design: contentHash([]byte(tinyBench)), Observe: []int32{2}})
 	check("delta", code, body)
-	code, body = postRaw(t, ts.URL+"/v1/opi", OPIRequest{Netlist: otherBench})
-	check("opi", code, body)
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, OPIResponse{Points: []NodeScore{{ID: 3, Name: "h2", Score: math.NaN()}}})
+	check("opi", rec.Code, rec.Body.Bytes())
 }

@@ -47,11 +47,11 @@ import (
 // Options configures a Server. The zero value of every field selects a
 // sensible default.
 type Options struct {
-	// Predictor is the trained model that scores graphs; required.
-	// *core.Model and *core.MultiStage are cloned per cached design so
-	// concurrent requests never share model scratch state; other
-	// IncrementalPredictor implementations must be safe for concurrent
-	// use themselves.
+	// Predictor is the trained model that scores graphs; required. It is
+	// shared by every request, so it must be safe for concurrent use:
+	// *core.Model and *core.MultiStage are, because inference never
+	// writes them. NewIncremental(g).Probs() must equal PredictProbs(g),
+	// since /v1/opi labels its points with the design's session scores.
 	Predictor core.IncrementalPredictor
 
 	// ModelInfo is a human-readable description of the loaded weights,
@@ -85,8 +85,8 @@ type Options struct {
 	DisableBatching bool
 
 	// Float32Scoring compiles designs with the predictor's float32
-	// inference mode when the predictor supports it
-	// (core.Float32Inferencer): /v1/score pays a ~2×-lighter f32 forward
+	// scoring call when it has one (PredictProbs32, as *core.Model and
+	// *core.MultiStage do): /v1/score pays a ~2×-lighter f32 forward
 	// pass instead of building the float64 incremental session up front.
 	// The session is then built lazily on a design's first /v1/score/delta
 	// (delta updates stay exact float64), so score-only traffic never pays
@@ -138,7 +138,6 @@ type Server struct {
 	admit     *admission
 	cache     *designCache
 	flight    *flightGroup
-	pool      chan core.IncrementalPredictor
 	mux       *http.ServeMux
 	accessLog *obs.AccessLogger
 	start     time.Time
@@ -157,16 +156,9 @@ func New(opts Options) (*Server, error) {
 		admit:     newAdmission(opts.MaxConcurrent, opts.MaxQueue),
 		cache:     newDesignCache(opts.CacheEntries),
 		flight:    newFlightGroup(),
-		pool:      make(chan core.IncrementalPredictor, opts.MaxConcurrent),
 		mux:       http.NewServeMux(),
 		accessLog: obs.NewAccessLogger(opts.AccessLog, opts.AccessLogSample, opts.SlowRequest),
 		start:     time.Now(),
-	}
-	// A replica pool for paths that run whole flows (such as /v1/opi)
-	// rather than per-design sessions: admission guarantees at most
-	// MaxConcurrent concurrent holders, so checkout never starves.
-	for i := 0; i < opts.MaxConcurrent; i++ {
-		s.pool <- core.ClonePredictor(opts.Predictor)
 	}
 	s.mux.HandleFunc("POST /v1/score", s.instrument("score", s.handleScore))
 	s.mux.HandleFunc("POST /v1/score/delta", s.instrument("delta", s.handleDelta))

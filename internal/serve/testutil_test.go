@@ -66,16 +66,24 @@ func stubScore(g *core.Graph, v int) float64 {
 }
 
 // stubPredictor is a fast, deterministic IncrementalPredictor for
-// handler tests. It is safe for concurrent use (ClonePredictor passes it
-// through unchanged). forwards counts NewIncremental calls — the
-// "expensive full forward" the batcher and cache exist to avoid.
+// handler tests. It is safe for concurrent use, as Options.Predictor
+// must be. forwards counts NewIncremental calls — the "expensive full
+// forward" the batcher and cache exist to avoid — and predicts counts
+// PredictProbs calls.
 type stubPredictor struct {
 	forwards atomic.Int64
+	predicts atomic.Int64
 	started  chan struct{} // if non-nil, receives one value per forward entry
 	release  chan struct{} // if non-nil, forwards block until closed
 }
 
 func (p *stubPredictor) PredictProbs(g *core.Graph) []float64 {
+	p.predicts.Add(1)
+	return stubProbs(g)
+}
+
+// stubProbs is stubScore for every node of g.
+func stubProbs(g *core.Graph) []float64 {
 	out := make([]float64, g.N)
 	for v := range out {
 		out[v] = stubScore(g, v)
@@ -91,19 +99,14 @@ func (p *stubPredictor) NewIncremental(g *core.Graph) core.IncrementalRun {
 	if p.release != nil {
 		<-p.release
 	}
-	return &stubRun{p: p, probs: p.PredictProbs(g)}
+	return &stubRun{probs: stubProbs(g)}
 }
 
-type stubRun struct {
-	p     *stubPredictor
-	probs []float64
-}
+type stubRun struct{ probs []float64 }
 
 func (r *stubRun) Probs() []float64 { return r.probs }
 
-func (r *stubRun) Update(g *core.Graph, dirty []int32) {
-	r.probs = r.p.PredictProbs(g)
-}
+func (r *stubRun) Update(g *core.Graph, dirty []int32) { r.probs = stubProbs(g) }
 
 // newTestServer builds a Server plus an httptest front end.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {

@@ -34,12 +34,12 @@ func TestMulConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(f32 bool, j job) {
 			defer wg.Done()
-			x32 := tensor.FromDense(j.x)
-			want32 := tensor.NewDense32(j.m.NumRows, 8)
-			j.m.MulDense32(want32, x32)
+			x32 := tensor.Convert[float32](j.x)
+			want32 := tensor.New[float32](j.m.NumRows, 8)
+			Mul(j.m, want32, x32, 1)
 			for k := 0; k < 20; k++ {
 				if f32 {
-					got := tensor.NewDense32(j.m.NumRows, 8)
+					got := tensor.New[float32](j.m.NumRows, 8)
 					Mul(j.m, got, x32, 0)
 					if d := tensor.MaxAbsDiff(got, want32); d != 0 {
 						t.Errorf("concurrent f32 product differs from serial by %g", d)

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -228,39 +227,26 @@ func TestMulDense32MatchesFloat64(t *testing.T) {
 		r, c, k := 4+rng.Intn(120), 4+rng.Intn(80), 2+rng.Intn(12)
 		m := randCOO(rng, r, c, 2*r, true).ToCSR()
 		x := randDense(rng, c, k)
-		x32 := tensor.FromDense(x)
+		x32 := tensor.Convert[float32](x)
 
 		want := tensor.NewDense(r, k)
 		m.MulDense(want, x)
 
-		got := tensor.NewDense32(r, k)
-		m.MulDense32(got, x32)
-		if d := tensor.MaxAbsDiff32(got, want); d > 1e-4 {
+		got := tensor.New[float32](r, k)
+		Mul(m, got, x32, 1)
+		if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 			t.Fatalf("trial %d: f32 SpMM off by %g", trial, d)
 		}
 
-		gotPar := tensor.NewDense32(r, k)
+		gotPar := tensor.New[float32](r, k)
 		old := runtime.GOMAXPROCS(4)
-		m.MulDense32Parallel(gotPar, x32, 4)
+		Mul(m, gotPar, x32, 4)
 		runtime.GOMAXPROCS(old)
 		for i, v := range gotPar.Data {
 			if v != got.Data[i] {
 				t.Fatalf("trial %d: parallel f32 not bit-identical at %d: %g vs %g",
 					trial, i, v, got.Data[i])
 			}
-		}
-	}
-}
-
-// TestToDense32 checks the f32 materialization against the f64 one.
-func TestToDense32(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := randCOO(rng, 10, 12, 40, true).ToCSR()
-	d64 := m.ToDense()
-	d32 := m.ToDense32()
-	for i, v := range d32.Data {
-		if math.Abs(float64(v)-d64.Data[i]) > 1e-5 {
-			t.Fatalf("ToDense32 off at %d: %g vs %g", i, v, d64.Data[i])
 		}
 	}
 }

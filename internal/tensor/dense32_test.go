@@ -19,10 +19,10 @@ func randDense64(rng *rand.Rand, r, c int) *Dense {
 func TestFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := randDense64(rng, 7, 9)
-	f := FromDense(d)
+	f := Convert[float32](d)
 	for i, v := range f.Data {
 		if v != float32(d.Data[i]) {
-			t.Fatalf("FromDense element %d: %g != float32(%g)", i, v, d.Data[i])
+			t.Fatalf("Convert element %d: %g != float32(%g)", i, v, d.Data[i])
 		}
 	}
 	back := f.ToDense()
@@ -31,17 +31,16 @@ func TestFromDenseRoundTrip(t *testing.T) {
 			t.Fatalf("ToDense element %d not exact", i)
 		}
 	}
-	var g Dense32
-	g = *NewDense32(7, 9)
-	g.CopyFromDense(d)
+	g := New[float32](7, 9)
+	ConvertInto(g, d)
 	for i := range g.Data {
 		if g.Data[i] != f.Data[i] {
-			t.Fatalf("CopyFromDense differs from FromDense at %d", i)
+			t.Fatalf("ConvertInto differs from Convert at %d", i)
 		}
 	}
 }
 
-// TestMatMul32MatchesFloat64 checks the f32 matmul (including the
+// TestMatMul32MatchesFloat64 checks the float32 matmul (including the
 // zero-skip fast path for post-ReLU sparse rows) against the f64 kernel
 // within f32 tolerance.
 func TestMatMul32MatchesFloat64(t *testing.T) {
@@ -62,14 +61,14 @@ func TestMatMul32MatchesFloat64(t *testing.T) {
 		b := randDense64(rng, k, n)
 		want := NewDense(m, n)
 		MatMul(want, a, b)
-		got := NewDense32(m, n)
+		got := New[float32](m, n)
 		// Pre-poison dst: the kernel must fully overwrite it.
 		for i := range got.Data {
 			got.Data[i] = float32(math.NaN())
 		}
-		MatMul32(got, FromDense(a), FromDense(b))
-		if d := MaxAbsDiff32(got, want); d > 1e-4 {
-			t.Fatalf("trial %d: MatMul32 off by %g", trial, d)
+		MatMul(got, Convert[float32](a), Convert[float32](b))
+		if d := MaxAbsDiff(got, want); d > 1e-4 {
+			t.Fatalf("trial %d: float32 MatMul off by %g", trial, d)
 		}
 	}
 }
@@ -77,7 +76,7 @@ func TestMatMul32MatchesFloat64(t *testing.T) {
 // TestDense32Elementwise covers the small kernels used by the f32
 // forward path.
 func TestDense32Elementwise(t *testing.T) {
-	d := NewDense32(2, 3)
+	d := New[float32](2, 3)
 	d.Set(0, 0, -1)
 	d.Set(1, 2, 2)
 	if d.At(1, 2) != 2 {
@@ -92,13 +91,13 @@ func TestDense32Elementwise(t *testing.T) {
 	if d.At(0, 1) != 0 || d.At(1, 2) != 2 {
 		t.Fatal("ReLUInPlace broken")
 	}
-	o := NewDense32(2, 3)
+	o := New[float32](2, 3)
 	o.Set(0, 0, 4)
 	d.AxpyInPlace(0.5, o)
 	if d.At(0, 0) != 2 {
 		t.Fatal("AxpyInPlace broken")
 	}
-	c := NewDense32(2, 3)
+	c := New[float32](2, 3)
 	c.CopyFrom(d)
 	if c.At(0, 0) != 2 || c.At(1, 2) != 2 {
 		t.Fatal("CopyFrom broken")
@@ -122,11 +121,11 @@ func TestDense32ShapePanics(t *testing.T) {
 		}()
 		f()
 	}
-	a, b := NewDense32(2, 3), NewDense32(3, 2)
-	mustPanic("NewDense32 negative", func() { NewDense32(-1, 2) })
-	mustPanic("MatMul32 shape", func() { MatMul32(NewDense32(2, 2), a, a) })
+	a, b := New[float32](2, 3), New[float32](3, 2)
+	mustPanic("New negative", func() { New[float32](-1, 2) })
+	mustPanic("MatMul shape", func() { MatMul(New[float32](2, 2), a, a) })
 	mustPanic("CopyFrom shape", func() { a.CopyFrom(b) })
 	mustPanic("Axpy shape", func() { a.AxpyInPlace(1, b) })
 	mustPanic("AddRowVector shape", func() { a.AddRowVector([]float32{1}) })
-	mustPanic("MaxAbsDiff32 shape", func() { MaxAbsDiff32(a, NewDense(3, 2)) })
+	mustPanic("MaxAbsDiff shape", func() { MaxAbsDiff(a, NewDense(3, 2)) })
 }

@@ -7,7 +7,7 @@
 //
 // The matrix type is generic over its element precision. Dense
 // (float64) carries training, gradient checking and exact inference;
-// Dense32 (float32) is the narrow inference mode. Both are
+// Dense32 (float32) carries the narrow float32 scoring call. Both are
 // instantiations of the one Mat type, so every kernel below has a
 // single body; the compiler stencils a separate copy per precision
 // (float32 and float64 have different GC shapes), so the inner loops
@@ -21,7 +21,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Float is the element constraint of Mat: the two precisions the
@@ -41,6 +40,10 @@ type Mat[T Float] struct {
 
 // Dense is the float64 matrix used by training and exact inference.
 type Dense = Mat[float64]
+
+// Dense32 is the float32 matrix of the narrow scoring call (DESIGN.md
+// decision 10).
+type Dense32 = Mat[float32]
 
 // New allocates a zeroed Rows×Cols matrix.
 func New[T Float](rows, cols int) *Mat[T] {
@@ -116,9 +119,6 @@ func (d *Mat[T]) Clone() *Mat[T] {
 // ToDense widens (or copies) the matrix into a new float64 matrix; the
 // widening from float32 is exact.
 func (d *Mat[T]) ToDense() *Dense { return Convert[float64](d) }
-
-// CopyFromDense converts a float64 matrix into d; shapes must match.
-func (d *Mat[T]) CopyFromDense(src *Dense) { ConvertInto(d, src) }
 
 // Zero sets every element to 0.
 func (d *Mat[T]) Zero() {
@@ -279,15 +279,6 @@ func (d *Mat[T]) ArgmaxRows() []int {
 		out[i] = bi
 	}
 	return out
-}
-
-// XavierInit fills d with Glorot-uniform values scaled by fan-in/fan-out,
-// drawing from rng for determinism.
-func (d *Mat[T]) XavierInit(rng *rand.Rand) {
-	limit := math.Sqrt(6.0 / float64(d.Rows+d.Cols))
-	for i := range d.Data {
-		d.Data[i] = T((rng.Float64()*2 - 1) * limit)
-	}
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between

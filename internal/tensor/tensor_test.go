@@ -172,25 +172,6 @@ func TestAddRowVector(t *testing.T) {
 	}
 }
 
-func TestXavierInitRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDense(40, 60)
-	d.XavierInit(rng)
-	limit := math.Sqrt(6.0 / 100.0)
-	var nonzero int
-	for _, v := range d.Data {
-		if math.Abs(v) > limit {
-			t.Fatalf("value %v exceeds Xavier limit %v", v, limit)
-		}
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero < len(d.Data)/2 {
-		t.Error("suspiciously many zeros after init")
-	}
-}
-
 func TestShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -40,6 +40,8 @@
 #      the artifact's num_cpu, so the worker-scaling matrix can never
 #      silently degrade to an all-single-core recording, nor pass off
 #      time-slicing on fewer cores as parallelism
+# Last, for information only and never as a gate, it prints the Go line
+# counts CHANGES.md reports (scripts/loc.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -183,5 +185,8 @@ if [ -n "$newest" ]; then
 else
     echo "(no BENCH_*.json artifacts; skipping)"
 fi
+
+echo "== Go line counts (scripts/loc.sh; information, not a gate)"
+./scripts/loc.sh || echo "   (line counts unavailable)"
 
 echo "check.sh: all gates passed"
