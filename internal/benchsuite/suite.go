@@ -332,20 +332,24 @@ func percentile995(probs []float64) float64 {
 // opiFlow runs the insertion-flow pair on the shared workload. A few
 // insertions per round over many rounds is the regime the incremental
 // path is built for: the D-hop neighborhood of each round's insertions
-// stays small relative to the design, while the full variant pays
-// whole-graph inference every round — the flow as the paper's Figure 7
-// literally states it. The incremental variant pays full inference once
-// and feeds each round's dirty set into the cached-embedding update
-// (Section 3.4's efficiency argument applied to the Section 4 loop).
-// Both run the identical predict→rank→insert work; only the inference
-// strategy differs, which is exactly the quantity the pair measures.
-func opiFlow(b *testing.B, disableIncremental bool) {
+// stays small relative to the design, while the full variant scores
+// through core.FullPass and pays whole-graph inference every round — the
+// flow as the paper's Figure 7 literally states it. The incremental
+// variant pays full inference once and feeds each round's dirty set into
+// the cached-embedding update (Section 3.4's efficiency argument applied
+// to the Section 4 loop). Both run the identical predict→rank→insert
+// work; only the inference strategy differs, which is exactly the
+// quantity the pair measures.
+func opiFlow(b *testing.B, full bool) {
 	w := opiBench()
+	var pred core.IncrementalPredictor = w.model
+	if full {
+		pred = core.FullPass(w.model.PredictProbs)
+	}
 	cfg := opi.FlowConfig{
-		Threshold:          w.thr,
-		PerIteration:       2,
-		MaxIterations:      16,
-		DisableIncremental: disableIncremental,
+		Threshold:     w.thr,
+		PerIteration:  2,
+		MaxIterations: 16,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -353,7 +357,7 @@ func opiFlow(b *testing.B, disableIncremental bool) {
 		b.StopTimer()
 		fn, fm, fg := w.n.Clone(), w.meas.Clone(), w.g.Clone()
 		b.StartTimer()
-		opi.RunFlow(fn, fm, fg, w.model, cfg)
+		opi.RunFlow(fn, fm, fg, pred, cfg)
 	}
 }
 

@@ -76,7 +76,7 @@ func SaveCheckpointFile(path string, pred IncrementalPredictor) error {
 
 // LoadCheckpoint restores a predictor saved with SaveCheckpoint. The
 // returned value is a *Model or a *MultiStage depending on what was
-// saved; both satisfy IncrementalPredictor (and opi.Predictor).
+// saved; both satisfy IncrementalPredictor.
 func LoadCheckpoint(r io.Reader) (IncrementalPredictor, error) {
 	var wire checkpointWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {

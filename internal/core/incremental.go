@@ -32,14 +32,41 @@ type IncrementalRun interface {
 	Update(g *Graph, dirty []int32)
 }
 
-// IncrementalPredictor is the capability the insertion flow (opi.RunFlow)
-// detects: a predictor that can pay full-graph inference once and then
+// IncrementalPredictor is what the insertion flow (opi.RunFlow) scores
+// through: a predictor that can pay full-graph inference once and then
 // track local graph mutations at D-hop-bounded cost. *Model and
 // *MultiStage both implement it.
 type IncrementalPredictor interface {
 	PredictProbs(g *Graph) []float64
 	NewIncremental(g *Graph) IncrementalRun
 }
+
+// FullPass adapts a whole-graph scorer to IncrementalPredictor: its
+// session scores the whole graph when it opens and again on every
+// Update, whatever the dirty set. It is the insertion flow as the
+// paper's Figure 7 states it (predict every node every round), and the
+// reference the cached-embedding sessions are compared against: an
+// update is == to a full pass.
+func FullPass(score func(*Graph) []float64) IncrementalPredictor {
+	return fullPass(score)
+}
+
+type fullPass func(*Graph) []float64
+
+func (f fullPass) PredictProbs(g *Graph) []float64 { return f(g) }
+
+func (f fullPass) NewIncremental(g *Graph) IncrementalRun {
+	return &fullPassRun{score: f, probs: f(g)}
+}
+
+type fullPassRun struct {
+	score fullPass
+	probs []float64
+}
+
+func (r *fullPassRun) Probs() []float64 { return r.probs }
+
+func (r *fullPassRun) Update(g *Graph, _ []int32) { r.probs = r.score(g) }
 
 // IncrementalState caches per-layer embeddings and output probabilities
 // for incremental updates. It is tied to the (model, graph) pair that

@@ -59,14 +59,6 @@ func NewAccessLogger(w io.Writer, sample int, slow time.Duration) *AccessLogger 
 	return &AccessLogger{w: w, sample: int64(sample), slow: slow}
 }
 
-// SlowThreshold returns the logger's slow-request threshold (0 on nil).
-func (l *AccessLogger) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.slow
-}
-
 // Log emits one access-log line for a completed request, applying the
 // sampling and slow-request rules. snap is the request's final trace
 // snapshot (zero value when tracing was off). Returns whether a line was

@@ -108,21 +108,6 @@ func (l *eventLog) reset() {
 	l.mu.Unlock()
 }
 
-// SetEventCapacity resizes the event ring (and clears it). Intended for
-// tests and for tools that know their event volume.
-func SetEventCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	events.mu.Lock()
-	events.capacity = n
-	events.buf = nil
-	events.next = 0
-	events.full = false
-	events.overwrote = 0
-	events.mu.Unlock()
-}
-
 // Event appends a named event with the given attributes to the event
 // timeline. No-op while instrumentation is disabled; note the variadic
 // attrs still box their values at the call site, so per-iteration hot

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -178,25 +177,6 @@ func TestResetZeroesMetricsAndSpans(t *testing.T) {
 		GetCounter("reset.me").Add(1)
 		if got := TakeSnapshot().Counters["reset.me"]; got != 1 {
 			t.Fatalf("counter after Reset = %d, want 1", got)
-		}
-	})
-}
-
-func TestWithSpanContextNesting(t *testing.T) {
-	withEnabled(t, func() {
-		ctx, outer := WithSpan(context.Background(), "outer")
-		if SpanFromContext(ctx) != outer {
-			t.Fatal("context does not carry the span")
-		}
-		_, inner := WithSpan(ctx, "inner")
-		inner.End()
-		outer.End()
-		snap := TakeSnapshot()
-		if len(snap.Spans) != 1 || snap.Spans[0].Name != "outer" {
-			t.Fatalf("roots = %+v", snap.Spans)
-		}
-		if snap.Spans[0].Find("inner") == nil {
-			t.Fatal("inner span not nested under outer")
 		}
 	})
 }

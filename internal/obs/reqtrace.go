@@ -244,21 +244,6 @@ func SnapshotRequests() RequestsPage {
 	return page
 }
 
-// SetRecentRequestCapacity resizes (and clears) the recent-completion
-// ring. Intended for tests and for servers that know their volume.
-func SetRecentRequestCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	reqs.mu.Lock()
-	reqs.capacity = n
-	reqs.recent = nil
-	reqs.next = 0
-	reqs.full = false
-	reqs.dropped = 0
-	reqs.mu.Unlock()
-}
-
 // reset clears the registry (Reset calls this).
 func (r *reqRegistry) reset() {
 	r.mu.Lock()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"runtime"
 	"sort"
 	"strings"
@@ -204,30 +203,4 @@ func (s *Span) End() {
 	if s.path != "" && tracing.Load() {
 		recordSpanTrace(s.path, s.tid, s.start, dur)
 	}
-}
-
-// ctxKey keys the active span in a context.
-type ctxKey struct{}
-
-// WithSpan opens a span nested under the context's active span (or at
-// the root) and returns a derived context carrying it. This is the
-// convenience form for call chains that already thread a context;
-// packages without one use StartSpan/Child directly.
-func WithSpan(ctx context.Context, name string) (context.Context, *Span) {
-	var s *Span
-	if parent, ok := ctx.Value(ctxKey{}).(*Span); ok && parent != nil {
-		s = parent.Child(name)
-	} else {
-		s = StartSpan(name)
-	}
-	if s == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, ctxKey{}, s), s
-}
-
-// SpanFromContext returns the context's active span, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
 }

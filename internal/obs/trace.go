@@ -27,9 +27,6 @@ func EnableTracing() { tracing.Store(true) }
 // buffered trace events are kept until Reset.
 func DisableTracing() { tracing.Store(false) }
 
-// TracingEnabled reports whether per-occurrence span recording is on.
-func TracingEnabled() bool { return tracing.Load() }
-
 // traceEvent is one entry of the Chrome Trace Event Format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // ph "X" for complete spans, "i" for instants, "M" for metadata.
@@ -98,18 +95,6 @@ func TraceThreadName(tid int64, name string) {
 		tr.threads = map[int64]string{}
 	}
 	tr.threads[tid] = name
-	tr.mu.Unlock()
-}
-
-// SetTraceCapacity resizes the span-event buffer (and clears it).
-func SetTraceCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	tr.mu.Lock()
-	tr.capacity = n
-	tr.spans = nil
-	tr.dropped = 0
 	tr.mu.Unlock()
 }
 

@@ -166,8 +166,8 @@ func TestTracingOffRecordsNothing(t *testing.T) {
 
 func TestTraceCapacityDropsNotGrows(t *testing.T) {
 	withTracing(t, func() {
-		SetTraceCapacity(4)
-		defer SetTraceCapacity(defaultTraceCapacity)
+		setTraceCapacity(4)
+		defer setTraceCapacity(defaultTraceCapacity)
 		for i := 0; i < 10; i++ {
 			StartSpan("s").End()
 		}
@@ -183,10 +183,10 @@ func TestTraceCapacityDropsNotGrows(t *testing.T) {
 func TestEventRingKeepsNewest(t *testing.T) {
 	Reset()
 	Enable()
-	SetEventCapacity(3)
+	setEventCapacity(3)
 	defer func() {
 		Disable()
-		SetEventCapacity(defaultEventCapacity)
+		setEventCapacity(defaultEventCapacity)
 	}()
 	for i := int64(0); i < 5; i++ {
 		Event("tick", I("i", i))
@@ -219,4 +219,13 @@ func TestEventDisabledIsFreeAndSilent(t *testing.T) {
 	if evs := Events(); len(evs) != 0 {
 		t.Fatalf("disabled Event recorded %d entries", len(evs))
 	}
+}
+
+// setTraceCapacity resizes the span-event buffer (and clears it).
+func setTraceCapacity(n int) {
+	tr.mu.Lock()
+	tr.capacity = n
+	tr.spans = nil
+	tr.dropped = 0
+	tr.mu.Unlock()
 }

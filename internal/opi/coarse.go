@@ -1,28 +1,29 @@
 package opi
 
 // Coarse-then-refine observation point insertion: the ROADMAP's
-// pre-filter idea built on internal/coarsen. The GCN never sees the fine
-// graph — every prediction runs on the coarse supergraph (a fraction of
-// the nodes, so both the one-time full inference and the per-iteration
-// incremental updates shrink proportionally), and the exact machinery is
-// spent only where the coarse model points: candidate cells inside
-// positive regions are ranked by the same fan-in-cone impact heuristic
-// as RunFlow, and every insertion updates the fine netlist, SCOAP
-// measures and fine graph exactly (InsertAndRefresh). The coarsening is
-// kept live across insertions — each new observation point becomes a
-// singleton supernode and the touched regions' projected rows are
-// recomputed — so the coarse graph stays exactly equal to the projection
-// of the evolving fine graph.
+// pre-filter idea built on internal/coarsen. It is RunFlow scoring
+// through a coarse predictor: the GCN never sees the fine graph — every
+// prediction runs on the coarse supergraph (a fraction of the nodes, so
+// both the one-time full inference and the per-round incremental updates
+// shrink proportionally) and each region's score is lifted to its member
+// cells. A region is then positive exactly when its cells are, so the
+// exact machinery is spent only where the coarse model points: the
+// refinable cells of positive regions are ranked by RunFlow's fan-in-cone
+// impact, and every insertion updates the fine netlist, SCOAP measures
+// and fine graph exactly (InsertAndRefresh). The coarsening is kept live
+// across rounds — each new observation point becomes a singleton
+// supernode and the touched regions' projected rows are recomputed — so
+// the coarse graph stays exactly equal to the projection of the evolving
+// fine graph.
 //
-// At ratio 1.0 the supergraph is the fine graph and every step
-// degenerates to RunFlow's: the flow is then bit-identical to
-// the exact incremental flow, the anchor the differential tests enforce.
+// At ratio 1.0 the supergraph is the fine graph and the lift is the
+// identity: the flow is then bit-identical to RunFlow on pred itself,
+// the anchor the differential tests enforce.
 
 import (
 	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/scoap"
 )
 
@@ -32,8 +33,8 @@ type CoarseRefineConfig struct {
 	Ratio float64
 	// Flow carries the shared insertion-flow knobs (threshold,
 	// per-iteration cap, cone limit, iteration/insertion bounds,
-	// progress hook). ExactImpact and the incremental switches are
-	// ignored: prediction always runs incrementally on the coarse graph.
+	// progress hook). ExactImpact is ignored: it would score
+	// hypothetical fine graphs the coarsening does not cover.
 	Flow FlowConfig
 }
 
@@ -50,14 +51,9 @@ type CoarseRefineResult struct {
 
 // RunCoarseRefine executes the coarse-then-refine insertion flow,
 // mutating the netlist, measures and fine graph in place exactly like
-// RunFlow. pred must support incremental updates (*core.Model and
-// *core.MultiStage both do); it is only ever invoked on the coarse
-// graph. The error is non-nil only for an invalid coarsening ratio.
+// RunFlow. pred is only ever invoked on the coarse graph. The error is
+// non-nil only for an invalid coarsening ratio.
 func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, cfg CoarseRefineConfig) (CoarseRefineResult, error) {
-	span := obs.StartSpan("opi.coarse")
-	defer span.End()
-	fc := cfg.Flow.withDefaults()
-
 	c, err := coarsen.New(n, cfg.Ratio)
 	if err != nil {
 		return CoarseRefineResult{}, err
@@ -66,94 +62,65 @@ func RunCoarseRefine(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pr
 		CoarseNodes:   c.NumSuper(),
 		AchievedRatio: c.AchievedRatio(),
 	}
-	cg := c.ProjectGraph(g)
-	observed := observedSet(n)
+	flow := cfg.Flow
+	flow.ExactImpact = 0
+	res.FlowResult = RunFlow(n, meas, g, coarsePredictor{c, pred}, flow)
+	return res, nil
+}
 
-	opiFullInfer.Inc()
-	run := pred.NewIncremental(cg)
-	var dirty []int32 // coarse rows whose projection changed since last update
+// coarsePredictor scores a fine graph through a coarsening of it: it
+// projects the graph, scores the supergraph with pred and lifts each
+// region's score to its member cells.
+type coarsePredictor struct {
+	c    *coarsen.Coarsening
+	pred core.IncrementalPredictor
+}
 
-	for iter := 0; iter < fc.MaxIterations; iter++ {
-		iterSpan := span.Child("iteration")
-		opiIterations.Inc()
-		var probs []float64
-		if iter == 0 {
-			probs = run.Probs()
-		} else {
-			opiIncremental.Inc()
-			run.Update(cg, dirty)
-			dirty = dirty[:0]
-			probs = run.Probs()
-		}
+func (p coarsePredictor) PredictProbs(g *core.Graph) []float64 {
+	return p.c.Lift(p.pred.PredictProbs(p.c.ProjectGraph(g)))
+}
 
-		// Refinable member cells of the positive regions. A region with
-		// no insertable, unobserved member has nothing left to refine
-		// regardless of its score.
-		positives := make(map[int32]bool)
-		for s := 0; s < c.NumSuper() && s < len(probs); s++ {
-			if probs[s] < fc.Threshold {
-				continue
-			}
-			for _, v := range c.Members[s] {
-				if insertable(n, v) && !observed[v] {
-					positives[v] = true
-				}
-			}
-		}
-		total := len(positives)
-		res.Iterations = iter + 1
-		res.FinalPositives = total
-		opiPositives.Observe(int64(total))
-		if fc.Progress != nil {
-			fc.Progress(iter, total, len(res.Targets))
-		}
-		if total == 0 {
-			iterSpan.End()
-			return res, nil
-		}
+// NewIncremental opens a session that keeps the coarsening live: the
+// session owns the coarse graph and mirrors every fine mutation into it.
+func (p coarsePredictor) NewIncremental(g *core.Graph) core.IncrementalRun {
+	cg := p.c.ProjectGraph(g)
+	run := p.pred.NewIncremental(cg)
+	return &coarseRun{c: p.c, cg: cg, run: run, probs: p.c.Lift(run.Probs())}
+}
 
-		// Exact refinement inside the positive regions: same fan-in-cone
-		// impact ranking as RunFlow, restricted to their member cells.
-		rankSpan := iterSpan.Child("rank")
-		selected := selectByImpact(n, positives, fc)
-		rankSpan.End()
-		if fc.MaxInsertions > 0 && len(res.Targets)+len(selected) > fc.MaxInsertions {
-			selected = selected[:fc.MaxInsertions-len(res.Targets)]
-		}
-		if len(selected) == 0 {
-			iterSpan.End()
-			return res, nil
-		}
+// coarseRun is a coarsePredictor session: a session of pred on the live
+// coarse graph plus the lifted scores.
+type coarseRun struct {
+	c     *coarsen.Coarsening
+	cg    *core.Graph
+	run   core.IncrementalRun
+	dirty []int32   // coarse rows whose projection changed, reused per update
+	probs []float64 // run's scores lifted to the fine cells
+}
 
-		dirtySeen := make(map[int32]bool, len(dirty))
-		for _, v := range selected {
-			_, touched, err := InsertAndRefresh(n, meas, g, v, n.Levels())
-			if err != nil {
-				// selected only contains insertable cells, so this is a
-				// programming error, not an input error.
-				panic(err)
-			}
-			if _, err := c.AddObservationPoint(cg, v); err != nil {
-				panic(err) // the fine insertion succeeded; the mirror must too
-			}
-			// Fine attribute refreshes shrink to the touched regions:
-			// a region row changes only if some member's row changed the
-			// region maximum.
-			for _, u := range touched {
-				s := c.Owner[u]
-				if c.ReprojectRow(cg, g, s) && !dirtySeen[s] {
-					dirtySeen[s] = true
-					dirty = append(dirty, s)
-				}
-			}
-			observed[v] = true
-			res.Targets = append(res.Targets, v)
-		}
-		opiInsertions.Add(int64(len(selected)))
-		iterSpan.End()
-		if fc.MaxInsertions > 0 && len(res.Targets) >= fc.MaxInsertions {
-			return res, nil
+func (r *coarseRun) Probs() []float64 { return r.probs }
+
+// Update mirrors the fine mutations since the last update into the
+// coarse graph and updates the coarse session. Every fine cell appended
+// since then is an observation point whose only predecessor is its
+// target, and becomes a singleton supernode. The regions of the dirty
+// fine rows are then reprojected; every refresh is already applied, so a
+// region reports a change at most once.
+func (r *coarseRun) Update(g *core.Graph, dirty []int32) {
+	for op := len(r.c.Owner); op < g.N; op++ {
+		if _, err := r.c.AddObservationPoint(r.cg, g.PredList(int32(op))[0]); err != nil {
+			panic(err) // the fine insertion succeeded; the mirror must too
 		}
 	}
-	return res, nil
+	r.dirty = r.dirty[:0]
+	for _, u := range dirty {
+		if s := r.c.Owner[u]; r.c.ReprojectRow(r.cg, g, s) {
+			r.dirty = append(r.dirty, s)
+		}
+	}
+	r.run.Update(r.cg, r.dirty)
+	if grow := g.N - len(r.probs); grow > 0 {
+		r.probs = append(r.probs, make([]float64, grow)...)
+	}
+	r.c.LiftInto(r.probs, r.run.Probs())
 }

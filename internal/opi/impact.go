@@ -1,8 +1,6 @@
 package opi
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/scoap"
@@ -20,11 +18,12 @@ import (
 
 // ExactImpact measures the positive-prediction reduction in candidate's
 // fan-in cone caused by a hypothetical observation point at candidate.
-// n, meas and g are not modified.
+// probs are pred's current scores of g (the flow's session scores,
+// which equal a full pass), so the evaluation pays one whole-graph
+// inference, on the hypothetical graph. n, meas and g are not modified.
 func ExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
-	pred Predictor, threshold float64, candidate int32, coneLimit int) int {
+	pred core.IncrementalPredictor, probs []float64, threshold float64, candidate int32, coneLimit int) int {
 
-	before := pred.PredictProbs(g)
 	cone := n.FaninCone(candidate, coneLimit)
 
 	// Hypothetical insertion on scratch copies.
@@ -36,60 +35,35 @@ func ExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
 	}
 	after := pred.PredictProbs(g2)
 
-	countPos := func(probs []float64) int {
+	countPos := func(p []float64) int {
 		c := 0
-		if probs[candidate] >= threshold {
+		if p[candidate] >= threshold {
 			c++
 		}
 		for _, u := range cone {
-			if probs[u] >= threshold {
+			if p[u] >= threshold {
 				c++
 			}
 		}
 		return c
 	}
-	impact := countPos(before) - countPos(after)
+	impact := countPos(probs) - countPos(after)
 	if impact < 0 {
 		impact = 0
 	}
 	return impact
 }
 
-// selectByExactImpact ranks candidates by hypothetical-insertion impact.
-// It shares the cone-coverage dedup of the static ranking.
+// selectByExactImpact ranks candidates by hypothetical-insertion impact
+// and picks the round's targets with the same pickCovering as the
+// static ranking.
 func selectByExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
-	pred Predictor, positives map[int32]bool, cfg FlowConfig) []int32 {
+	pred core.IncrementalPredictor, probs []float64, positives map[int32]bool, cfg FlowConfig) []int32 {
 
-	type scored struct {
-		node   int32
-		impact int
+	nodes, cones := positiveCones(n, positives, cfg.ConeLimit)
+	impact := make([]int, len(nodes))
+	for i, v := range nodes {
+		impact[i] = ExactImpact(n, meas, g, pred, probs, cfg.Threshold, v, cfg.ConeLimit)
 	}
-	ranked := make([]scored, 0, len(positives))
-	cones := make(map[int32][]int32, len(positives))
-	for v := range positives {
-		impact := ExactImpact(n, meas, g, pred, cfg.Threshold, v, cfg.ConeLimit)
-		ranked = append(ranked, scored{v, impact})
-		cones[v] = n.FaninCone(v, cfg.ConeLimit)
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].impact != ranked[j].impact {
-			return ranked[i].impact > ranked[j].impact
-		}
-		return ranked[i].node < ranked[j].node
-	})
-	covered := make(map[int32]bool)
-	var selected []int32
-	for _, s := range ranked {
-		if len(selected) >= cfg.PerIteration {
-			break
-		}
-		if covered[s.node] {
-			continue
-		}
-		selected = append(selected, s.node)
-		for _, u := range cones[s.node] {
-			covered[u] = true
-		}
-	}
-	return selected
+	return pickCovering(nodes, impact, cones, cfg.PerIteration)
 }

@@ -31,8 +31,9 @@ func TestExactImpactOnChain(t *testing.T) {
 	g := core.FromNetlist(n, meas)
 	oracle := scoapOracle{cut: 1.5} // log1p(CO) > 1.5 ⇔ CO > ~3.5
 
-	impactC := ExactImpact(n, meas, g, oracle, 0.5, c, 0)
-	impactA := ExactImpact(n, meas, g, oracle, 0.5, a, 0)
+	probs := oracle.PredictProbs(g)
+	impactC := ExactImpact(n, meas, g, oracle, probs, 0.5, c, 0)
+	impactA := ExactImpact(n, meas, g, oracle, probs, 0.5, a, 0)
 	if impactC <= impactA {
 		t.Errorf("impact(c)=%d should exceed impact(a)=%d", impactC, impactA)
 	}
@@ -54,7 +55,7 @@ func TestExactImpactFlowMatchesStaticFixpoint(t *testing.T) {
 
 	nB, mB, gB := buildBench(t, 12, 800)
 	resExact := RunFlow(nB, mB, gB, scoapOracle{cut: cut}, FlowConfig{
-		PerIteration: 8, ExactImpact: true, ExactImpactCap: 512,
+		PerIteration: 8, ExactImpact: 512,
 	})
 	if resStatic.FinalPositives != 0 || resExact.FinalPositives != 0 {
 		t.Fatalf("flows did not converge: static %d, exact %d",
@@ -65,4 +66,37 @@ func TestExactImpactFlowMatchesStaticFixpoint(t *testing.T) {
 		t.Errorf("exact ranking used far more OPs (%d) than static (%d)",
 			len(resExact.Targets), len(resStatic.Targets))
 	}
+}
+
+// TestExactImpactRoundPaysOneForwardPerCandidate: an exact-ranked round
+// scores each of its K candidates' hypothetical graphs once and takes
+// the graph's own scores from the flow's session, so it makes K
+// whole-graph PredictProbs calls, not 2K.
+func TestExactImpactRoundPaysOneForwardPerCandidate(t *testing.T) {
+	n, m, g := buildBench(t, 12, 800)
+	pred := &predictCounter{scoapOracle: scoapOracle{cut: oracleCut(g, 0.02)}}
+	candidates := 0
+	RunFlow(n, m, g, pred, FlowConfig{
+		PerIteration: 8, MaxIterations: 1, ExactImpact: 1 << 20,
+		Progress: func(_, positives, _ int) { candidates = positives },
+	})
+	if candidates == 0 {
+		t.Fatal("the round had no candidates")
+	}
+	if pred.predicts != candidates {
+		t.Fatalf("one exact round over %d candidates made %d PredictProbs calls, want %d",
+			candidates, pred.predicts, candidates)
+	}
+}
+
+// predictCounter counts PredictProbs calls; its sessions are the
+// oracle's and do not count.
+type predictCounter struct {
+	scoapOracle
+	predicts int
+}
+
+func (p *predictCounter) PredictProbs(g *core.Graph) []float64 {
+	p.predicts++
+	return p.scoapOracle.PredictProbs(g)
 }

@@ -11,7 +11,7 @@ import (
 // nodes are positive under pred, placed at the midpoint of the gap
 // between two adjacent probabilities so that no node sits on the
 // cutoff itself.
-func flowThreshold(g *core.Graph, pred Predictor, frac float64) float64 {
+func flowThreshold(g *core.Graph, pred core.IncrementalPredictor, frac float64) float64 {
 	probs := append([]float64(nil), pred.PredictProbs(g)...)
 	sort.Float64s(probs)
 	idx := int((1 - frac) * float64(len(probs)-1))
@@ -22,9 +22,9 @@ func flowThreshold(g *core.Graph, pred Predictor, frac float64) float64 {
 }
 
 // runEquivalence runs the same flow twice on identical copies of one
-// seeded design — once forced onto per-iteration full inference, once on
-// the cached-embedding path — and requires identical outcomes.
-func runEquivalence(t *testing.T, seed int64, gates int, mk func() Predictor) FlowResult {
+// seeded design — once on per-iteration full inference (core.FullPass),
+// once on the cached-embedding path — and requires identical outcomes.
+func runEquivalence(t *testing.T, seed int64, gates int, mk func() core.IncrementalPredictor) FlowResult {
 	t.Helper()
 	nFull, mFull, gFull := buildBench(t, seed, gates)
 	nInc, mInc, gInc := buildBench(t, seed, gates)
@@ -33,9 +33,7 @@ func runEquivalence(t *testing.T, seed int64, gates int, mk func() Predictor) Fl
 	thr := flowThreshold(gFull, pred, 0.03)
 	cfg := FlowConfig{Threshold: thr, PerIteration: 6, MaxIterations: 5}
 
-	cfgFull := cfg
-	cfgFull.DisableIncremental = true
-	resFull := RunFlow(nFull, mFull, gFull, pred, cfgFull)
+	resFull := RunFlow(nFull, mFull, gFull, core.FullPass(pred.PredictProbs), cfg)
 	resInc := RunFlow(nInc, mInc, gInc, pred, cfg)
 
 	if resFull.Iterations != resInc.Iterations {
@@ -59,7 +57,7 @@ func runEquivalence(t *testing.T, seed int64, gates int, mk func() Predictor) Fl
 }
 
 func TestIncrementalFlowMatchesFullModel(t *testing.T) {
-	mk := func() Predictor {
+	mk := func() core.IncrementalPredictor {
 		return core.MustNewModel(core.Config{Dims: []int{8, 8}, FCDims: []int{8}, NumClasses: 2, Seed: 71})
 	}
 	multi := 0
@@ -74,7 +72,7 @@ func TestIncrementalFlowMatchesFullModel(t *testing.T) {
 }
 
 func TestIncrementalFlowMatchesFullMultiStage(t *testing.T) {
-	mk := func() Predictor {
+	mk := func() core.IncrementalPredictor {
 		return &core.MultiStage{
 			Stages: []*core.Model{
 				core.MustNewModel(core.Config{Dims: []int{8, 8}, FCDims: []int{8}, NumClasses: 2, Seed: 81}),

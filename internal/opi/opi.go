@@ -32,8 +32,8 @@ import (
 // Insertion-flow metrics (no-ops until obs.Enable; see
 // docs/OBSERVABILITY.md). incremental_updates vs full_inferences is the
 // Section 3.4 efficiency story in two numbers: how often the flow paid
-// D-hop-bounded cached-embedding cost instead of a whole-graph forward
-// pass.
+// a session update (D-hop-bounded cached-embedding cost, except under
+// core.FullPass) instead of a whole-graph forward pass.
 var (
 	opiIterations  = obs.GetCounter("opi.iterations")
 	opiInsertions  = obs.GetCounter("opi.insertions")
@@ -41,13 +41,6 @@ var (
 	opiIncremental = obs.GetCounter("opi.incremental_updates")
 	opiFullInfer   = obs.GetCounter("opi.full_inferences")
 )
-
-// Predictor produces per-node positive (difficult-to-observe)
-// probabilities for a GCN graph; *core.Model and *core.MultiStage both
-// satisfy it.
-type Predictor interface {
-	PredictProbs(g *core.Graph) []float64
-}
 
 // FlowConfig controls the iterative GCN insertion flow.
 type FlowConfig struct {
@@ -64,18 +57,11 @@ type FlowConfig struct {
 	// MaxInsertions bounds the total number of observation points;
 	// 0 means unlimited.
 	MaxInsertions int
-	// ExactImpact switches from the static cone-count ranking to the
-	// paper's hypothetical-insertion impact (Figure 6) whenever the
-	// positive set is at most ExactImpactCap nodes. Expensive: one full
-	// inference per candidate per iteration.
-	ExactImpact bool
-	// ExactImpactCap limits exact evaluation to small candidate sets;
-	// default 64.
-	ExactImpactCap int
-	// DisableIncremental forces a full inference pass every iteration
-	// even for predictors implementing core.IncrementalPredictor; used by
-	// the equivalence tests and the full-vs-incremental benchmarks.
-	DisableIncremental bool
+	// ExactImpact ranks a round by the paper's hypothetical-insertion
+	// impact (Figure 6) instead of the static cone count when the round
+	// has at most this many positives; 0 means never. Expensive: one
+	// whole-graph inference per candidate.
+	ExactImpact int
 	// Progress, when non-nil, is invoked once per iteration.
 	Progress func(iter, positives, insertedSoFar int)
 }
@@ -95,9 +81,6 @@ func (c FlowConfig) withDefaults() FlowConfig {
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 64
 	}
-	if c.ExactImpactCap <= 0 {
-		c.ExactImpactCap = 64
-	}
 	return c
 }
 
@@ -115,48 +98,35 @@ type FlowResult struct {
 // RunFlow executes the iterative insertion flow, mutating the netlist,
 // measures and graph in place.
 //
-// When the predictor implements core.IncrementalPredictor (*core.Model
-// and *core.MultiStage both do), the flow pays full-graph inference only
-// once: subsequent iterations feed the dirty set of each round's
-// insertions — the new OP nodes plus the refreshed fan-in cones — into
-// the predictor's cached-embedding update, whose cost is bounded by the
-// D-hop neighborhood of the mutations instead of the whole graph
-// (Section 3.4's efficiency argument applied to the Section 4 loop).
-// An update is == to a full pass, so the cache is never refreshed;
-// FlowConfig.DisableIncremental opts out entirely.
-func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predictor, cfg FlowConfig) FlowResult {
+// The flow scores through one session of pred: it pays full-graph
+// inference once, when the session opens, and every later round feeds
+// the dirty set of the previous round's insertions — the new OP nodes
+// plus the refreshed attribute rows — into the session's update. For
+// *core.Model and *core.MultiStage that is the cached-embedding update,
+// whose cost is bounded by the D-hop neighborhood of the mutations
+// instead of the whole graph (Section 3.4's efficiency argument applied
+// to the Section 4 loop); an update is == to a full pass, which
+// core.FullPass runs every round instead.
+func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, cfg FlowConfig) FlowResult {
 	span := obs.StartSpan("opi")
 	defer span.End()
 	cfg = cfg.withDefaults()
 	res := FlowResult{}
 	observed := observedSet(n)
 
-	ip, incremental := pred.(core.IncrementalPredictor)
-	if cfg.DisableIncremental {
-		incremental = false
-	}
-	var run core.IncrementalRun
-	var dirty []int32 // attribute rows refreshed since the last inference
+	opiFullInfer.Inc()
+	run := pred.NewIncremental(g)
+	var dirty []int32 // attribute rows refreshed since the last update
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		iterSpan := span.Child("iteration")
 		opiIterations.Inc()
-		var probs []float64
-		switch {
-		case !incremental:
-			opiFullInfer.Inc()
-			probs = pred.PredictProbs(g)
-		case run == nil:
-			opiFullInfer.Inc()
-			run = ip.NewIncremental(g)
-			dirty = dirty[:0]
-			probs = run.Probs()
-		default:
+		if iter > 0 {
 			opiIncremental.Inc()
 			run.Update(g, dirty)
 			dirty = dirty[:0]
-			probs = run.Probs()
 		}
+		probs := run.Probs()
 		positives := make(map[int32]bool)
 		for v := 0; v < g.N && v < n.NumGates(); v++ {
 			if probs[v] >= cfg.Threshold && insertable(n, int32(v)) && !observed[int32(v)] {
@@ -176,8 +146,8 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 
 		rankSpan := iterSpan.Child("rank")
 		var selected []int32
-		if cfg.ExactImpact && len(positives) <= cfg.ExactImpactCap {
-			selected = selectByExactImpact(n, meas, g, pred, positives, cfg)
+		if len(positives) <= cfg.ExactImpact {
+			selected = selectByExactImpact(n, meas, g, pred, probs, positives, cfg)
 		} else {
 			selected = selectByImpact(n, positives, cfg)
 		}
@@ -198,9 +168,7 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 				// programming error, not an input error.
 				panic(err)
 			}
-			if incremental {
-				dirty = append(dirty, touched...)
-			}
+			dirty = append(dirty, touched...)
 			observed[v] = true
 			res.Targets = append(res.Targets, v)
 		}
@@ -214,9 +182,7 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 }
 
 // selectByImpact ranks positive nodes by impact (1 + positives in the
-// fan-in cone) and returns up to PerIteration targets, skipping
-// candidates already covered by the cone of a higher-ranked selection so
-// a single funnel is not observed at every node simultaneously.
+// fan-in cone) and picks the round's targets with pickCovering.
 //
 // The per-positive fan-in-cone BFS is the flow's second hot spot once
 // inference runs incrementally, so the cones are extracted on the shared
@@ -224,46 +190,59 @@ func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred Predi
 // the lazy caches, so concurrent traversals are safe). Each cone depends
 // only on its node, so the ranking does not depend on the worker count.
 func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig) []int32 {
+	nodes, cones := positiveCones(n, positives, cfg.ConeLimit)
+	impact := make([]int, len(nodes))
+	for i, cone := range cones {
+		impact[i] = 1
+		for _, u := range cone {
+			if positives[u] {
+				impact[i]++
+			}
+		}
+	}
+	return pickCovering(nodes, impact, cones, cfg.PerIteration)
+}
+
+// positiveCones lists the positive nodes in ascending id with the
+// fan-in cone of each, extracted in parallel.
+func positiveCones(n *netlist.Netlist, positives map[int32]bool, limit int) ([]int32, [][]int32) {
 	nodes := make([]int32, 0, len(positives))
 	for v := range positives {
 		nodes = append(nodes, v)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	cones := &coneJob{n: n, nodes: nodes, limit: cfg.ConeLimit, cones: make([][]int32, len(nodes))}
+	cones := &coneJob{n: n, nodes: nodes, limit: limit, cones: make([][]int32, len(nodes))}
 	par.For(0, len(nodes), cones)
+	return nodes, cones.cones
+}
 
-	type scored struct {
-		node   int32
-		cone   []int32
-		impact int
+// pickCovering returns up to limit of nodes in descending impact, ties
+// by ascending id, skipping a node inside the cone of an already-picked
+// node so a single funnel is not observed at every node simultaneously.
+// impact[i] and cones[i] belong to nodes[i].
+func pickCovering(nodes []int32, impact []int, cones [][]int32, limit int) []int32 {
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
 	}
-	ranked := make([]scored, 0, len(nodes))
-	for i, v := range nodes {
-		impact := 1
-		for _, u := range cones.cones[i] {
-			if positives[u] {
-				impact++
-			}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if impact[i] != impact[j] {
+			return impact[i] > impact[j]
 		}
-		ranked = append(ranked, scored{v, cones.cones[i], impact})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].impact != ranked[j].impact {
-			return ranked[i].impact > ranked[j].impact
-		}
-		return ranked[i].node < ranked[j].node
+		return nodes[i] < nodes[j]
 	})
 	covered := make(map[int32]bool)
 	var selected []int32
-	for _, s := range ranked {
-		if len(selected) >= cfg.PerIteration {
+	for _, i := range order {
+		if len(selected) >= limit {
 			break
 		}
-		if covered[s.node] {
+		if covered[nodes[i]] {
 			continue
 		}
-		selected = append(selected, s.node)
-		for _, u := range s.cone {
+		selected = append(selected, nodes[i])
+		for _, u := range cones[i] {
 			covered[u] = true
 		}
 	}

@@ -29,6 +29,12 @@ func (o scoapOracle) PredictProbs(g *core.Graph) []float64 {
 	return out
 }
 
+// NewIncremental rescores the whole graph every round: the oracle has no
+// cached state to update.
+func (o scoapOracle) NewIncremental(g *core.Graph) core.IncrementalRun {
+	return core.FullPass(o.PredictProbs).NewIncremental(g)
+}
+
 func buildBench(t testing.TB, seed int64, gates int) (*netlist.Netlist, *scoap.Measures, *core.Graph) {
 	t.Helper()
 	n := circuitgen.Generate("opi", circuitgen.Config{Seed: seed, NumGates: gates, ShadowFunnels: 8, ShadowGuard: 4})

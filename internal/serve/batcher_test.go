@@ -84,6 +84,51 @@ func TestSerialPathRunsOneForwardPerRequest(t *testing.T) {
 	}
 }
 
+// TestSerialPathCompilesEachOPIRequest: DisableBatching means the same
+// on /v1/opi as on /v1/score. Two concurrent /v1/opi requests for one
+// uncached netlist are inside their own compiles at once, and nothing
+// coalesces; a batched second request would wait on the first's flight
+// instead.
+func TestSerialPathCompilesEachOPIRequest(t *testing.T) {
+	stub := &stubPredictor{started: make(chan struct{}, 4), release: make(chan struct{})}
+	_, ts := newTestServer(t, Options{Predictor: stub, DisableBatching: true})
+	coalescedBefore := mBatchCoalesced.Value()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := OPIRequest{Netlist: tinyBench, Threshold: 1e-9, MaxPoints: 1}
+			if code := postJSON(t, ts.URL+"/v1/opi", req, nil); code != 200 {
+				t.Errorf("status %d", code)
+			}
+		}()
+	}
+	compiling := 0
+	timeout := time.After(5 * time.Second)
+wait:
+	for compiling < 2 {
+		select {
+		case <-stub.started:
+			compiling++
+		case <-timeout:
+			break wait
+		}
+	}
+	close(stub.release)
+	wg.Wait()
+	if compiling != 2 {
+		t.Fatalf("%d of 2 concurrent requests compiled", compiling)
+	}
+	if c := mBatchCoalesced.Value() - coalescedBefore; c != 0 {
+		t.Fatalf("serve.batch.coalesced moved by %d with batching disabled", c)
+	}
+	// Two compiles, then one flow session per request.
+	if f := stub.forwards.Load(); f != 4 {
+		t.Fatalf("two requests opened %d sessions, want 4", f)
+	}
+}
+
 // TestFlightGroupLeaderPanicDoesNotWedge ensures a panicking compile
 // releases riders with an error instead of deadlocking the key.
 func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {

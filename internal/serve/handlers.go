@@ -222,15 +222,27 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.admit.release()
 
-	body := []byte(req.Netlist)
+	d, cached, err := s.designOf(ctx, tr, []byte(req.Netlist))
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	s.respondScore(w, tr, d, req.Threshold, cached)
+}
+
+// designOf returns the compiled design of a netlist body: the cached one
+// when its source matches, else a fresh compile, coalesced with
+// identical concurrent compiles by the batcher unless
+// Options.DisableBatching is set. cached reports a cache hit, which the
+// request trace records as its "cache" annotation. /v1/score and
+// /v1/opi both obtain their designs here.
+func (s *Server) designOf(ctx context.Context, tr *obs.ReqTrace, body []byte) (d *design, cached bool, err error) {
 	key := s.cache.hash(body)
 	if d, ok := s.cache.lookupSource(key, body); ok {
 		tr.Annotate("cache", "hit")
-		s.respondScore(w, tr, d, req.Threshold, true)
-		return
+		return d, true, nil
 	}
 	tr.Annotate("cache", "miss")
-	var d *design
 	if s.opts.DisableBatching {
 		d, err = s.compile(ctx, key, body)
 	} else {
@@ -238,11 +250,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			return s.compile(ctx, key, body)
 		})
 	}
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	s.respondScore(w, tr, d, req.Threshold, false)
+	return d, false, err
 }
 
 // handleDelta implements POST /v1/score/delta: observation-point edits
@@ -424,18 +432,9 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 	// Obtain a private (netlist, measures, graph) copy to mutate.
 	var d *design
 	if req.Netlist != "" {
-		body := []byte(req.Netlist)
-		key := s.cache.hash(body)
-		var ok bool
-		if d, ok = s.cache.lookupSource(key, body); !ok {
-			var err error
-			d, _, err = s.flight.do(ctx, key, func() (*design, error) {
-				return s.compile(ctx, key, body)
-			})
-			if err != nil {
-				writeFailure(w, err)
-				return
-			}
+		if d, _, err = s.designOf(ctx, tr, []byte(req.Netlist)); err != nil {
+			writeFailure(w, err)
+			return
 		}
 	} else {
 		var ok bool

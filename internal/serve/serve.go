@@ -80,8 +80,9 @@ type Options struct {
 	CacheEntries int
 
 	// DisableBatching turns off single-flight coalescing of identical
-	// concurrent score requests; used by benchmarks and tests to measure
-	// the serial path.
+	// concurrent compiles (a /v1/score or /v1/opi netlist that is not
+	// cached yet); used by benchmarks and tests to measure the serial
+	// path.
 	DisableBatching bool
 
 	// Float32Scoring compiles designs with the predictor's float32

@@ -12,8 +12,7 @@ import (
 // (including duplicate coordinates, which every kernel must sum) and
 // runs the full differential battery from internal/refcheck against the
 // dense triple-loop reference: COO MulDense, CSR conversion, serial and
-// parallel CSR products, the transpose product and the explicit
-// transpose. Seed corpus lives in testdata/fuzz/FuzzSparseMul.
+// parallel CSR products and the explicit transpose. Seed corpus lives in testdata/fuzz/FuzzSparseMul.
 func FuzzSparseMul(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 0, 10, 1, 2, 250, 1, 2, 6, 2, 3, 128})
 	f.Add([]byte{1, 1, 0, 0, 1})

@@ -5,9 +5,10 @@
 // iterative insertion flow needs — and converted to compressed sparse row
 // (CSR) for fast sparse×dense products (SpMM).
 //
-// Both formats multiply against dense matrices; CSR additionally offers a
-// transpose product (used by backpropagation) and a parallel SpMM on the
-// shared internal/par helpers, standing in for the paper's GPU kernels.
+// Both formats multiply against dense matrices; CSR additionally offers
+// an explicit transpose (backpropagation multiplies by Pᵀ = S) and a
+// parallel SpMM on the shared internal/par helpers, standing in for the
+// paper's GPU kernels.
 package sparse
 
 import (
@@ -432,25 +433,6 @@ func is32[T tensor.Float]() bool {
 // MulDenseParallel is Mul in float64.
 func (m *CSR) MulDenseParallel(dst, x *tensor.Dense, workers int) { Mul(m, dst, x, workers) }
 
-// MulDenseTrans computes dst = mᵀ·x; dst must be NumCols×x.Cols. Used by
-// backpropagation (∂L/∂E_{d-1} includes Aᵀ·δ).
-func (m *CSR) MulDenseTrans(dst, x *tensor.Dense) {
-	if x.Rows != m.NumRows || dst.Rows != m.NumCols || dst.Cols != x.Cols {
-		panic("sparse: CSR MulDenseTrans shape mismatch")
-	}
-	dst.Zero()
-	for r := 0; r < m.NumRows; r++ {
-		xrow := x.Row(r)
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v := m.Vals[p]
-			drow := dst.Row(int(m.ColIdx[p]))
-			for j, xv := range xrow {
-				drow[j] += v * xv
-			}
-		}
-	}
-}
-
 // Transpose returns mᵀ as a new CSR. Row c of the result lists the rows
 // of m that hold column c, in increasing order.
 func (m *CSR) Transpose() *CSR {
@@ -491,14 +473,4 @@ func (m *CSR) ToDense() *tensor.Dense {
 		}
 	}
 	return d
-}
-
-// Sparsity returns the fraction of zero entries, the statistic the paper
-// reports as "higher than 99.95%" on its benchmarks.
-func (m *CSR) Sparsity() float64 {
-	total := float64(m.NumRows) * float64(m.NumCols)
-	if total == 0 {
-		return 1
-	}
-	return 1 - float64(m.NNZ())/total
 }

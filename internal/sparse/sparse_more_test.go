@@ -61,25 +61,6 @@ func TestCSRRowsAreCompleteAndOrdered(t *testing.T) {
 	}
 }
 
-func TestMulDenseTransMatchesDenseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		r, c, k := 2+rng.Intn(8), 2+rng.Intn(8), 1+rng.Intn(4)
-		coo := randCOO(rng, r, c, 1+rng.Intn(25), true)
-		csr := coo.ToCSR()
-		x := randDense(rng, r, k)
-		got := tensor.NewDense(c, k)
-		csr.MulDenseTrans(got, x)
-
-		dense := denseOf(coo)
-		want := tensor.NewDense(c, k)
-		tensor.MatMulTransA(want, dense, x)
-		if diff := tensor.MaxAbsDiff(got, want); diff > 1e-12 {
-			t.Fatalf("trial %d: differs by %g", trial, diff)
-		}
-	}
-}
-
 func TestParallelOnTinyMatrixFallsBackToSerial(t *testing.T) {
 	m := NewCOO(3, 3)
 	m.Append(0, 0, 1)
@@ -89,16 +70,5 @@ func TestParallelOnTinyMatrixFallsBackToSerial(t *testing.T) {
 	csr.MulDenseParallel(dst, x, 8) // workers ≫ rows
 	if dst.At(0, 0) != 1 || dst.At(1, 0) != 0 {
 		t.Errorf("tiny parallel product wrong: %v", dst.Data)
-	}
-}
-
-func TestSparsityBounds(t *testing.T) {
-	m := NewCOO(2, 2)
-	m.Append(0, 0, 1)
-	m.Append(0, 1, 1)
-	m.Append(1, 0, 1)
-	m.Append(1, 1, 1)
-	if s := m.ToCSR().Sparsity(); s != 0 {
-		t.Errorf("full matrix sparsity = %v", s)
 	}
 }

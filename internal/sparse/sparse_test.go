@@ -112,9 +112,9 @@ func TestCSRTransposeAndTransMul(t *testing.T) {
 		m := randCOO(rng, r, c, 1+rng.Intn(30), false).ToCSR()
 		x := randDense(rng, r, k)
 
-		// mᵀ·x via MulDenseTrans vs via explicit Transpose.
+		// mᵀ·x via explicit Transpose vs the dense reference.
 		a := tensor.NewDense(c, k)
-		m.MulDenseTrans(a, x)
+		tensor.MatMulTransA(a, m.ToDense(), x)
 		b := tensor.NewDense(c, k)
 		m.Transpose().MulDense(b, x)
 		if diff := tensor.MaxAbsDiff(a, b); diff > 1e-12 {
@@ -168,9 +168,6 @@ func TestGrowAndIncrementalAppend(t *testing.T) {
 	if d.At(3, 1) != wpr || d.At(1, 3) != wsu || d.At(3, 3) != 1 {
 		t.Errorf("incremental entries wrong: %v", d.Data)
 	}
-	if csr.Sparsity() <= 0.5 {
-		t.Errorf("sparsity = %v", csr.Sparsity())
-	}
 }
 
 func TestAppendOutOfRangePanics(t *testing.T) {
@@ -192,9 +189,6 @@ func TestEmptyMatrix(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty matrix product must be zero")
 		}
-	}
-	if s := csr.Sparsity(); s != 1 {
-		t.Errorf("Sparsity = %v, want 1", s)
 	}
 }
 
