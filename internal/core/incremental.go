@@ -108,6 +108,52 @@ func (m *Model) NewIncremental(g *Graph) IncrementalRun {
 	return &modelRun{m: m, st: m.ForwardFull(g)}
 }
 
+// CopyRun returns an independent copy of an open *Model or *MultiStage
+// session: the live rows of E_0 … E_D, the logits and the
+// probabilities, bit for bit, with fresh frontier marks. Since an update
+// is == a full pass, the copy is == a session opened on a clone of the
+// session's graph, and it costs a copy instead of a forward. Updating
+// the copy leaves the source's bits unchanged, and the other way round.
+// rows is how many rows the caller's updates will append at most (an
+// insertion flow's observation-point budget): every copied matrix keeps
+// exactly that much headroom, so those updates reslice it instead of
+// reallocating and copying it in growRows. ok is false for any other
+// session (core.FullPass, a caller's own IncrementalRun): it has no
+// cached state to copy.
+func CopyRun(run IncrementalRun, rows int) (copied IncrementalRun, ok bool) {
+	switch r := run.(type) {
+	case *modelRun:
+		return &modelRun{m: r.m, st: r.st.copy(rows)}, true
+	case *multiStageRun:
+		return &multiStageRun{ms: r.ms, st: r.st.copy(rows)}, true
+	}
+	return nil, false
+}
+
+// copy returns the state's rows with headroom for rows more and fresh
+// frontier marks.
+func (st *IncrementalState) copy(rows int) *IncrementalState {
+	c := &IncrementalState{logits: copyDense(st.logits, rows), Probs: copyRows(st.Probs, 1, rows)}
+	for _, e := range st.embeds {
+		c.embeds = append(c.embeds, copyDense(e, rows))
+	}
+	return c
+}
+
+func copyDense(d *tensor.Dense, rows int) *tensor.Dense {
+	return &tensor.Dense{Rows: d.Rows, Cols: d.Cols, Data: copyRows(d.Data, d.Cols, rows)}
+}
+
+// copyRows copies s, a row-major matrix of cols columns, into a new slice
+// with capacity for exactly rows more rows. The compiler turns a make
+// followed by a copy from another slice into one allocation that zeroes
+// only what the copy does not write, here the headroom.
+func copyRows(s []float64, cols, rows int) []float64 {
+	c := make([]float64, len(s)+rows*cols)
+	copy(c, s)
+	return c[:len(s)]
+}
+
 // ForwardFull runs a complete inference pass and captures the state
 // needed for subsequent incremental updates.
 func (m *Model) ForwardFull(g *Graph) *IncrementalState {

@@ -35,6 +35,16 @@ func (ms *MultiStage) ForwardFull(g *Graph) *MultiStageState {
 	return st
 }
 
+// copy returns a copy of every stage's state and of the cascade
+// probabilities, each with headroom for rows more rows.
+func (st *MultiStageState) copy(rows int) *MultiStageState {
+	c := &MultiStageState{Probs: copyRows(st.Probs, 1, rows)}
+	for _, s := range st.stages {
+		c.stages = append(c.stages, s.copy(rows))
+	}
+	return c
+}
+
 // stageProbs lists every stage's cached per-node probabilities.
 func (st *MultiStageState) stageProbs() [][]float64 {
 	out := make([][]float64, len(st.stages))

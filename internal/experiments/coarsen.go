@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/circuitgen"
@@ -229,7 +230,8 @@ func (r CoarsenResult) Fprint(w io.Writer) {
 type CoarseRefineComparison struct {
 	Gates               int
 	ExactOPs, CoarseOPs int
-	ExactNS, CoarseNS   int64
+	// ExactNS and CoarseNS hold each flow's timed runs in run order.
+	ExactNS, CoarseNS   [flowRepeats]int64
 	BaseCov             float64
 	ExactCov, CoarseCov float64
 	AchievedRatio       float64
@@ -247,13 +249,26 @@ func (c CoarseRefineComparison) Retention() (ratio float64, ok bool) {
 	return retention(c.CoarseGain(), c.ExactGain())
 }
 
-// Speedup is exact wall time / coarse wall time.
+// Speedup is the exact flow's median wall time / the coarse flow's.
 func (c CoarseRefineComparison) Speedup() float64 {
-	if c.CoarseNS > 0 {
-		return float64(c.ExactNS) / float64(c.CoarseNS)
+	exact, _, _ := wallMS(c.ExactNS)
+	if coarse, _, _ := wallMS(c.CoarseNS); coarse > 0 {
+		return exact / coarse
 	}
 	return 0
 }
+
+// wallMS returns the median, the fastest and the slowest of a flow's
+// timed runs, in milliseconds.
+func wallMS(ns [flowRepeats]int64) (median, lo, hi float64) {
+	slices.Sort(ns[:])
+	return float64(ns[flowRepeats/2]) / 1e6, float64(ns[0]) / 1e6, float64(ns[flowRepeats-1]) / 1e6
+}
+
+// flowRepeats is how many timed runs of each flow CompareCoarseRefine
+// takes: single runs of two builds whose flows made identical decisions
+// read speedups of 0.98x and 1.05x.
+const flowRepeats = 3
 
 // coarseRefineDesign generates the head-to-head's design: the
 // circuitgen.OPIBench preset at cfg.Size gates (0 selects its 50k
@@ -272,7 +287,8 @@ func coarseRefineDesign(cfg Config) *netlist.Netlist {
 // at its own resolution on small labeled designs (seeded by cfg.Seed)
 // and transferred inductively to the large design — trained predictions
 // are what give the flows a real coverage gain for the retention ratio
-// to measure.
+// to measure. Each flow is timed over flowRepeats runs, and every run
+// must pick the same targets.
 func CompareCoarseRefine(cfg Config) CoarseRefineComparison {
 	span := obs.StartSpan("experiments/coarse_refine")
 	defer span.End()
@@ -307,38 +323,64 @@ func CompareCoarseRefine(cfg Config) CoarseRefineComparison {
 	// placement quality at equal hardware cost.
 	flow := opi.FlowConfig{PerIteration: 64, MaxInsertions: 1024}
 
-	exN, exM, exG := n.Clone(), meas.Clone(), g.Clone()
-	start := time.Now()
-	exRes := opi.RunFlow(exN, exM, exG, fineMS, flow)
-	res.ExactNS = time.Since(start).Nanoseconds()
-	res.ExactOPs = len(exRes.Targets)
-	res.ExactCov = opi.Evaluate(exN, tpg).Coverage
+	// The flows alternate, so that host drift hits both alike, and each
+	// run gets fresh clones made outside its timer. The first run's
+	// netlists are the ones fault-simulated.
+	var exN, coN *netlist.Netlist
+	var exTargets, coTargets []int32
+	for r := 0; r < flowRepeats; r++ {
+		n1, m1, g1 := n.Clone(), meas.Clone(), g.Clone()
+		start := time.Now()
+		exRes := opi.RunFlow(n1, m1, g1, fineMS, flow)
+		res.ExactNS[r] = time.Since(start).Nanoseconds()
 
-	coN, coM, coG := n.Clone(), meas.Clone(), g.Clone()
-	start = time.Now()
-	coRes, err := opi.RunCoarseRefine(coN, coM, coG, coarseMS, opi.CoarseRefineConfig{
-		Ratio: ratio,
-		Flow:  flow,
-	})
-	if err != nil {
-		panic(err)
+		n2, m2, g2 := n.Clone(), meas.Clone(), g.Clone()
+		start = time.Now()
+		coRes, err := opi.RunCoarseRefine(n2, m2, g2, coarseMS, opi.CoarseRefineConfig{
+			Ratio: ratio,
+			Flow:  flow,
+		})
+		res.CoarseNS[r] = time.Since(start).Nanoseconds()
+		if err != nil {
+			panic(err)
+		}
+		if r == 0 {
+			exN, exTargets = n1, exRes.Targets
+			coN, coTargets = n2, coRes.Targets
+			res.AchievedRatio = coRes.AchievedRatio
+			res.CoarseNodes = coRes.CoarseNodes
+		}
+		requireSameTargets("exact", exRes.Targets, exTargets)
+		requireSameTargets("coarse-refine", coRes.Targets, coTargets)
 	}
-	res.CoarseNS = time.Since(start).Nanoseconds()
-	res.CoarseOPs = len(coRes.Targets)
+	res.ExactOPs = len(exTargets)
+	res.ExactCov = opi.Evaluate(exN, tpg).Coverage
+	res.CoarseOPs = len(coTargets)
 	res.CoarseCov = opi.Evaluate(coN, tpg).Coverage
-	res.AchievedRatio = coRes.AchievedRatio
-	res.CoarseNodes = coRes.CoarseNodes
 	return res
+}
+
+// requireSameTargets panics unless a repeated run of the named flow
+// picked the first run's targets: the timed repeats must all be the same
+// computation.
+func requireSameTargets(flow string, got, first []int32) {
+	if !slices.Equal(got, first) {
+		panic("experiments: repeated " + flow + " flows picked different targets")
+	}
 }
 
 // Fprint writes the head-to-head summary.
 func (c CoarseRefineComparison) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Coarse-then-refine OPI vs exact incremental flow (%d gates)\n", c.Gates)
 	fmt.Fprintf(w, "coarse graph: %d supernodes (achieved ratio %.3f)\n", c.CoarseNodes, c.AchievedRatio)
-	fmt.Fprintf(w, "%-18s %6s %10s %10s %8s\n", "Flow", "#OPs", "Wall(ms)", "Coverage", "Gain")
-	fmt.Fprintf(w, "%-18s %6d %10.0f %9.2f%% %+7.2f%%\n", "exact-incremental",
-		c.ExactOPs, float64(c.ExactNS)/1e6, 100*c.ExactCov, 100*c.ExactGain())
-	fmt.Fprintf(w, "%-18s %6d %10.0f %9.2f%% %+7.2f%%\n", "coarse-refine",
-		c.CoarseOPs, float64(c.CoarseNS)/1e6, 100*c.CoarseCov, 100*c.CoarseGain())
-	fmt.Fprintf(w, "retention %s, speedup %.2fx\n", fmtRetention(c.Retention()), c.Speedup())
+	fmt.Fprintf(w, "%-18s %6s %10s %13s %10s %8s\n", "Flow", "#OPs", "Wall(ms)", "min-max(ms)", "Coverage", "Gain")
+	row := func(name string, ops int, ns [flowRepeats]int64, cov, gain float64) {
+		median, lo, hi := wallMS(ns)
+		fmt.Fprintf(w, "%-18s %6d %10.0f %13s %9.2f%% %+7.2f%%\n", name, ops, median,
+			fmt.Sprintf("%.0f-%.0f", lo, hi), 100*cov, 100*gain)
+	}
+	row("exact-incremental", c.ExactOPs, c.ExactNS, c.ExactCov, c.ExactGain())
+	row("coarse-refine", c.CoarseOPs, c.CoarseNS, c.CoarseCov, c.CoarseGain())
+	fmt.Fprintf(w, "retention %s, speedup %.2fx (median wall times of %d runs each)\n",
+		fmtRetention(c.Retention()), c.Speedup(), flowRepeats)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,4 +60,45 @@ func TestRetentionUndefinedWithoutExactGain(t *testing.T) {
 	if r, ok := c.Retention(); !ok || r < 1.49 || r > 1.51 {
 		t.Errorf("retention = %v, %v; want 1.5, true", r, ok)
 	}
+}
+
+// TestCoarseRefineTimingReport: the speedup is the ratio of the two
+// flows' median timed runs, and each flow's row prints its median wall
+// time and the range of its runs, whatever order the runs came in.
+func TestCoarseRefineTimingReport(t *testing.T) {
+	c := CoarseRefineComparison{
+		ExactNS:  [flowRepeats]int64{9e6, 2e6, 3e6},
+		CoarseNS: [flowRepeats]int64{1e6, 5e6, 2e6},
+	}
+	if got := c.Speedup(); got != 1.5 {
+		t.Errorf("speedup %v, want 1.5 (3 ms / 2 ms)", got)
+	}
+	var buf bytes.Buffer
+	c.Fprint(&buf)
+	rows := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 3 {
+			rows[f[0]] = f[2:4]
+		}
+	}
+	for flow, want := range map[string][]string{"exact-incremental": {"3", "2-9"}, "coarse-refine": {"2", "1-5"}} {
+		if got := rows[flow]; !slices.Equal(got, want) {
+			t.Errorf("%s row: Wall(ms) and min-max(ms) %q, want %q\n%s", flow, got, want, buf.String())
+		}
+	}
+	if !strings.Contains(buf.String(), "speedup 1.50x") {
+		t.Errorf("report lacks \"speedup 1.50x\":\n%s", buf.String())
+	}
+}
+
+// TestRepeatedFlowsMustPickSameTargets: a timed repeat that picked other
+// targets than the first run stops the comparison.
+func TestRepeatedFlowsMustPickSameTargets(t *testing.T) {
+	requireSameTargets("exact", []int32{4, 7}, []int32{4, 7})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeat that picked different targets passed")
+		}
+	}()
+	requireSameTargets("exact", []int32{4, 8}, []int32{4, 7})
 }

@@ -41,6 +41,9 @@ type Simulator struct {
 	order []int32
 	vals  []uint64 // value word per cell output
 	obs   []uint64 // observability word per cell output
+	// suffix is propagateControlled's per-gate scratch, grown to the
+	// widest gate seen, so a batch allocates nothing.
+	suffix []uint64
 }
 
 // NewSimulator prepares a simulator for the netlist. The netlist may be
@@ -180,7 +183,10 @@ func (s *Simulator) propagateControlled(g *netlist.Gate, o uint64, andLike bool)
 		return ^v
 	}
 	var prefix uint64 = ^uint64(0)
-	suffixes := make([]uint64, len(fi))
+	if len(s.suffix) < len(fi) {
+		s.suffix = make([]uint64, len(fi))
+	}
+	suffixes := s.suffix[:len(fi)]
 	acc := ^uint64(0)
 	for i := len(fi) - 1; i >= 0; i-- {
 		suffixes[i] = acc

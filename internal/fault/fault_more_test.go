@@ -169,3 +169,36 @@ func TestDetectionProbabilityMatchesTheory(t *testing.T) {
 		t.Errorf("excitation rate %.4f, want ≈ 0.125", rate)
 	}
 }
+
+// wideGateCircuit is a circuitgen design whose multi-input gates take 2
+// to 8 fanins; the test fails unless it holds AND/NAND/OR/NOR gates of
+// every width from 3 to 8.
+func wideGateCircuit(t *testing.T, seed int64) *netlist.Netlist {
+	t.Helper()
+	n := circuitgen.Generate("wide", circuitgen.Config{Seed: seed, NumGates: 400, MaxFanin: 8})
+	widths := map[int]bool{}
+	for id := int32(0); id < int32(n.NumGates()); id++ {
+		switch n.Type(id) {
+		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
+			widths[len(n.Fanin(id))] = true
+		}
+	}
+	for k := 3; k <= 8; k++ {
+		if !widths[k] {
+			t.Fatalf("seed %d: no %d-input AND/NAND/OR/NOR gate", seed, k)
+		}
+	}
+	return n
+}
+
+// TestBatchAllocatesNothing: after its first call, a 64-pattern batch
+// allocates nothing, also through the suffix products of wide
+// AND/NAND/OR/NOR gates in the observability pass.
+func TestBatchAllocatesNothing(t *testing.T) {
+	sim := NewSimulator(wideGateCircuit(t, 3))
+	rng := rand.New(rand.NewSource(1))
+	sim.Batch(rng)
+	if a := testing.AllocsPerRun(20, func() { sim.Batch(rng) }); a != 0 {
+		t.Fatalf("Batch allocated %v times per call after the first", a)
+	}
+}

@@ -16,6 +16,8 @@ package netlist
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/par"
 )
 
 // GateType enumerates the cell types supported by the netlist substrate.
@@ -392,28 +394,49 @@ func (n *Netlist) FanoutCone(id int32, limit int) []int32 {
 	return n.cone(id, limit, func(v int32) []int32 { return n.fanout[v] })
 }
 
-func (n *Netlist) cone(id int32, limit int, next func(int32) []int32) []int32 {
-	visited := make(map[int32]bool, 64)
-	visited[id] = true
-	queue := []int32{id}
-	var out []int32
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+// cone is the breadth-first traversal behind FaninCone and FanoutCone.
+// The cells discovered so far are also its queue, and the visited set is
+// a mark array from a free list, cleared over the cells the traversal
+// marked before it goes back, so a cone allocates only its result, costs
+// only its own cells, and concurrent traversals never share a mark array.
+func (n *Netlist) cone(id int32, limit int, next func(int32) []int32) (out []int32) {
+	marks := coneMarks.Get()
+	if len(*marks) < len(n.gates) {
+		// The flow grows its netlist by a few cells per round, so the
+		// array grows by append's margin rather than to the exact size.
+		*marks = append(*marks, make([]bool, len(n.gates)-len(*marks))...)
+	}
+	mark := *marks
+	defer func() {
+		mark[id] = false
+		for _, u := range out {
+			mark[u] = false
+		}
+		coneMarks.Put(marks)
+	}()
+	mark[id] = true
+	for head, v := 0, id; ; head++ {
 		for _, u := range next(v) {
-			if visited[u] {
+			if mark[u] {
 				continue
 			}
-			visited[u] = true
+			mark[u] = true
 			out = append(out, u)
-			queue = append(queue, u)
 			if limit > 0 && len(out) >= limit {
 				return out
 			}
 		}
+		if head == len(out) {
+			return out
+		}
+		v = out[head]
 	}
-	return out
 }
+
+// coneMarks keeps the cones' mark arrays, all false between traversals;
+// the flow's cone ranking extracts hundreds of cones per round on the
+// par helpers.
+var coneMarks = par.NewFree[[]bool]()
 
 // Validate checks structural invariants: fanin IDs in range and strictly
 // smaller than the gate ID (acyclicity by construction), fanin arity

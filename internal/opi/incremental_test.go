@@ -1,6 +1,7 @@
 package opi
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -90,6 +91,46 @@ func TestIncrementalFlowMatchesFullMultiStage(t *testing.T) {
 	if multi == 0 {
 		t.Fatal("no design ran more than one iteration; the incremental path was never exercised")
 	}
+}
+
+// TestRunFlowOnCopiedSessionMatchesRunFlow: the flow over a copy of a
+// session already open on the design (core.CopyRun, which /v1/opi runs
+// on a cached design) opens no session of its own and makes RunFlow's
+// decisions, for a model and for a cascade.
+func TestRunFlowOnCopiedSessionMatchesRunFlow(t *testing.T) {
+	small := func(seed int64) *core.Model {
+		return core.MustNewModel(core.Config{Dims: []int{8, 8}, FCDims: []int{8}, NumClasses: 2, Seed: seed})
+	}
+	for _, pred := range []core.IncrementalPredictor{
+		small(71),
+		&core.MultiStage{Stages: []*core.Model{small(81), small(82)}, FilterBelow: 0.25},
+	} {
+		n, m, g := buildBench(t, 11, 1000)
+		cfg := FlowConfig{Threshold: flowThreshold(g, pred, 0.03), PerIteration: 6, MaxIterations: 5}
+		want := RunFlow(n.Clone(), m.Clone(), g.Clone(), pred, cfg)
+		if want.Iterations < 2 {
+			t.Fatalf("%T: the flow ran %d round(s); the test needs updates", pred, want.Iterations)
+		}
+		run, ok := core.CopyRun(pred.NewIncremental(g), cfg.PerIteration*cfg.MaxIterations)
+		if !ok {
+			t.Fatalf("CopyRun refused a %T session", pred)
+		}
+		got := RunFlowOn(n, m, g, noSessions{pred, t}, run, cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T: RunFlowOn %+v, RunFlow %+v", pred, got, want)
+		}
+	}
+}
+
+// noSessions fails the test if a flow opens a session through it.
+type noSessions struct {
+	core.IncrementalPredictor
+	t *testing.T
+}
+
+func (p noSessions) NewIncremental(*core.Graph) core.IncrementalRun {
+	p.t.Fatal("the flow opened a session")
+	return nil
 }
 
 // TestRunFlowStartsOneFullPass: a default flow pays whole-graph

@@ -110,12 +110,26 @@ type FlowResult struct {
 func RunFlow(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, cfg FlowConfig) FlowResult {
 	span := obs.StartSpan("opi")
 	defer span.End()
+	opiFullInfer.Inc()
+	return runFlow(span, n, meas, g, pred, pred.NewIncremental(g), cfg)
+}
+
+// RunFlowOn is RunFlow over run, a session of pred already open on g,
+// instead of a session it opens: the serving layer passes a copy of a
+// cached design's warm session (core.CopyRun), so the flow pays no
+// whole-graph forward at all and opi.full_inferences does not count it.
+// The result is RunFlow's, because an update is == a full pass.
+func RunFlowOn(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, run core.IncrementalRun, cfg FlowConfig) FlowResult {
+	span := obs.StartSpan("opi")
+	defer span.End()
+	return runFlow(span, n, meas, g, pred, run, cfg)
+}
+
+// runFlow is the loop of RunFlow and RunFlowOn, under their opi span.
+func runFlow(span *obs.Span, n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, pred core.IncrementalPredictor, run core.IncrementalRun, cfg FlowConfig) FlowResult {
 	cfg = cfg.withDefaults()
 	res := FlowResult{}
 	observed := observedSet(n)
-
-	opiFullInfer.Inc()
-	run := pred.NewIncremental(g)
 	var dirty []int32 // attribute rows refreshed since the last update
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {

@@ -30,6 +30,19 @@ func TestDifferentialFaultSimAndMatmul(t *testing.T) {
 	}
 }
 
+// TestDifferentialWideGates runs the fault-simulation differential on
+// circuits whose multi-input gates take up to 8 inputs; FuzzBatchSim's
+// decoder builds only 2-input gates.
+func TestDifferentialWideGates(t *testing.T) {
+	for i, cfg := range RandomConfigs(43, 12) {
+		cfg.MaxFanin = 8
+		n := circuitgen.Generate("wide", cfg)
+		if err := CheckFaultSim(n, int64(3000+i), 12); err != nil {
+			t.Errorf("circuit %d (gates=%d): fault sim: %v", i, n.NumGates(), err)
+		}
+	}
+}
+
 // TestDifferentialSecondBatch replays a later batch index to confirm the
 // exact-detection replay convention (re-drawing earlier batches) stays
 // aligned with the reference word generator.

@@ -9,10 +9,11 @@ import (
 )
 
 // randomTree builds a fanout-free circuit (every cell drives at most
-// one load): binary gates, inverter/buffer links, scan flip-flops, one
-// primary output at the root. On this class critical path tracing is
-// provably exact, so the test can demand equality.
-func randomTree(rng *rand.Rand, maxDepth int) *netlist.Netlist {
+// one load): gates of 2 to maxFanin inputs, inverter/buffer links, scan
+// flip-flops, one primary output at the root. On this class critical
+// path tracing is provably exact, so the test can demand equality. With
+// maxFanin 2 it draws no widths, so binary trees stay as they were.
+func randomTree(rng *rand.Rand, maxDepth, maxFanin int) *netlist.Netlist {
 	n := netlist.New("tree")
 	var build func(depth int) int32
 	build = func(depth int) int32 {
@@ -29,7 +30,14 @@ func randomTree(rng *rand.Rand, maxDepth int) *netlist.Netlist {
 		default:
 			types := []netlist.GateType{netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor}
 			t := types[rng.Intn(len(types))]
-			return n.MustAddGate(t, "", build(depth-1), build(depth-1))
+			fanin := make([]int32, 2)
+			if maxFanin > 2 {
+				fanin = make([]int32, 2+rng.Intn(maxFanin-1))
+			}
+			for i := range fanin {
+				fanin[i] = build(depth - 1)
+			}
+			return n.MustAddGate(t, "", fanin...)
 		}
 	}
 	n.MustAddGate(netlist.Output, "", build(maxDepth))
@@ -88,12 +96,35 @@ func feedsSinkDirectly(n *netlist.Netlist, id int32) bool {
 // observability and the bit-parallel CPT criterion must agree exactly,
 // and SCOAP must mark exactly the observable nets as finite.
 func TestExhaustiveObsOnTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	checkObsOnTrees(t, 11, 2, 40, 25)
+}
+
+// TestExhaustiveObsOnWideTrees is TestExhaustiveObsOnTrees on trees of
+// 2- to 8-input gates: there the bit-parallel simulator's observability
+// pass runs its prefix and suffix products over more than two pins.
+func TestExhaustiveObsOnWideTrees(t *testing.T) {
+	checkObsOnTrees(t, 12, 8, 4000, 150)
+}
+
+// checkObsOnTrees draws up to tries trees of 2- to maxFanin-input gates
+// from seed and checks the first want of them within the exhaustive
+// budget.
+func checkObsOnTrees(t *testing.T, seed int64, maxFanin, tries, want int) {
+	rng := rand.New(rand.NewSource(seed))
 	checked := 0
-	for i := 0; i < 40 && checked < 25; i++ {
-		n := randomTree(rng, 3+i%2)
+	wide := 0 // AND/NAND/OR/NOR gates of more than two inputs checked
+	for i := 0; i < tries && checked < want; i++ {
+		n := randomTree(rng, 3+i%2, maxFanin)
 		if len(Sources(n)) > 10 {
 			continue // keep the exhaustive budget tiny
+		}
+		for id := int32(0); id < int32(n.NumGates()); id++ {
+			switch n.Type(id) {
+			case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
+				if len(n.Fanin(id)) > 2 {
+					wide++
+				}
+			}
 		}
 		if !IsFanoutFree(n) {
 			t.Fatalf("tree %d: generator produced fanout", i)
@@ -126,8 +157,11 @@ func TestExhaustiveObsOnTrees(t *testing.T) {
 		}
 		checked++
 	}
-	if checked < 25 {
+	if checked < want {
 		t.Fatalf("only %d trees within exhaustive budget", checked)
+	}
+	if maxFanin > 2 && wide == 0 {
+		t.Fatal("no checked tree has an AND/NAND/OR/NOR gate of more than two inputs")
 	}
 }
 

@@ -443,9 +443,21 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	maxPoints := req.MaxPoints
+	if maxPoints <= 0 {
+		maxPoints = 64
+	}
 	// The design's current scores label the suggested points: /v1/score
 	// serves them for this design, and for a float64 design they are what
-	// the flow's first pass over the copy computes.
+	// the flow's first round over the copy reads. The design's warm
+	// session is copied with the graph, so the flow pays no whole-graph
+	// forward; a design without a copyable session (float32-compiled and
+	// not yet edited, or a predictor whose sessions core cannot copy)
+	// leaves the flow to open its own on the clone. Each observation
+	// point appends one row, and the flow inserts at most maxPoints of
+	// them and at most one per cell, so the copy leaves room for that
+	// many. The copy holds the design's lock, so a delta on the same
+	// design waits for it.
 	ph = tr.StartPhase("clone")
 	d.mu.Lock()
 	baseID := s.cache.idOf(d)
@@ -453,13 +465,10 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 	meas := d.meas.Clone()
 	g := d.g.Clone()
 	probs0 := append([]float64(nil), d.probs()...)
+	run, warm := core.CopyRun(d.run, min(maxPoints, g.N))
 	d.mu.Unlock()
 	ph.End()
 
-	maxPoints := req.MaxPoints
-	if maxPoints <= 0 {
-		maxPoints = 64
-	}
 	var before *float64
 	if req.Evaluate {
 		ph = tr.StartPhase("evaluate")
@@ -468,11 +477,17 @@ func (s *Server) handleOPI(w http.ResponseWriter, r *http.Request) {
 		before = &v
 	}
 	ph = tr.StartPhase("flow")
-	res := opi.RunFlow(n, meas, g, s.opts.Predictor, opi.FlowConfig{
+	flow := opi.FlowConfig{
 		Threshold:     req.Threshold,
 		PerIteration:  req.PerIteration,
 		MaxInsertions: maxPoints,
-	})
+	}
+	var res opi.FlowResult
+	if warm {
+		res = opi.RunFlowOn(n, meas, g, s.opts.Predictor, run, flow)
+	} else {
+		res = opi.RunFlow(n, meas, g, s.opts.Predictor, flow)
+	}
 	ph.End()
 	if err := ctx.Err(); err != nil {
 		mDeadline.Inc()

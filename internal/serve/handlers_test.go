@@ -367,10 +367,12 @@ func TestOPIOnCachedDesignDoesNotMutateIt(t *testing.T) {
 	}
 }
 
-// TestOPIOnCachedDesignRunsOneForward: /v1/opi on a cached design pays
-// one full forward, the flow's own session over the copy, and labels its
-// points with the scores /v1/score serves for the design instead of
-// scoring the copy a second time.
+// TestOPIOnCachedDesignRunsOneForward covers the fallback path: core
+// cannot copy the stub's sessions, so /v1/opi on a cached design opens
+// one session over the copy, and pays that one full forward. It labels
+// its points with the scores /v1/score serves for the design instead of
+// scoring the copy a second time. A *core.Model or *core.MultiStage
+// design's session is copied instead (TestOPIByIDRunsNoForward).
 func TestOPIOnCachedDesignRunsOneForward(t *testing.T) {
 	stub := &stubPredictor{}
 	_, ts := newTestServer(t, Options{Predictor: stub})

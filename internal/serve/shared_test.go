@@ -12,7 +12,9 @@ import (
 	"repro/internal/circuitgen"
 	"repro/internal/core"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/opi"
+	"repro/internal/scoap"
 )
 
 // TestSharedPredictorMixedTraffic sends concurrent /v1/score requests on
@@ -60,8 +62,9 @@ type mixedDesign struct {
 // the predictor would be written by concurrent requests, and three
 // rounds give -race three chances to see such a write.
 // Designs 0–2 take /v1/score requests, and design 0 a /v1/opi request by
-// id as well; designs 3 and 4 take a delta chain each, and designs 5 and
-// 6 /v1/opi requests by netlist.
+// id as well; designs 3 and 4 take a delta chain each and then a /v1/opi
+// request by the chain's last id, and designs 5 and 6 /v1/opi requests by
+// netlist.
 func checkMixedTraffic(t *testing.T, lib core.IncrementalPredictor, clone func() core.IncrementalPredictor, f32 bool) {
 	score := lib.PredictProbs
 	if f32 {
@@ -92,27 +95,73 @@ func checkMixedTraffic(t *testing.T, lib core.IncrementalPredictor, clone func()
 				d.deltas = append(d.deltas, targets)
 				d.chain = append(d.chain, lib.PredictProbs(g))
 			}
+			setLibraryOPI(t, d, lib, n, meas, g, d.chain[len(d.chain)-1])
 		case i == 0 || i >= 5:
-			// A threshold that makes a tenth of the cells positive, so the
-			// untrained model's flow suggests points.
-			probs := lib.PredictProbs(g)
-			sort.Float64s(probs)
-			d.opi = OPIRequest{Threshold: probs[len(probs)*9/10], PerIteration: 3, MaxPoints: 6}
-			d.flow = opi.RunFlow(n.Clone(), meas.Clone(), g.Clone(), lib, opi.FlowConfig{
-				Threshold: d.opi.Threshold, PerIteration: d.opi.PerIteration, MaxInsertions: d.opi.MaxPoints,
-			})
-			if len(d.flow.Targets) == 0 {
-				t.Fatalf("design %d: the library flow suggested no points", i)
-			}
-			for _, v := range d.flow.Targets {
-				d.points = append(d.points, NodeScore{ID: v, Name: n.Gate(v).Name, Score: d.scores[v]})
-			}
+			setLibraryOPI(t, d, lib, n, meas, g, d.scores)
 		}
 	}
 
 	for round := 0; round < 3; round++ {
 		_, ts := newTestServer(t, Options{Predictor: clone(), Float32Scoring: f32, MaxConcurrent: 8, MaxQueue: 64})
 		mixedTraffic(t, ts.URL, designs)
+	}
+}
+
+// setLibraryOPI sets d's /v1/opi request and the library flow's answer
+// on copies of (n, meas, g), each point labelled with its score in
+// labels. The request's threshold makes a tenth of the cells positive, so
+// that an untrained model's flow suggests points.
+func setLibraryOPI(t *testing.T, d *mixedDesign, lib core.IncrementalPredictor,
+	n *netlist.Netlist, meas *scoap.Measures, g *core.Graph, labels []float64) {
+	t.Helper()
+	probs := lib.PredictProbs(g)
+	sort.Float64s(probs)
+	d.opi = OPIRequest{Threshold: probs[len(probs)*9/10], PerIteration: 3, MaxPoints: 6}
+	d.flow = opi.RunFlow(n.Clone(), meas.Clone(), g.Clone(), lib, opi.FlowConfig{
+		Threshold: d.opi.Threshold, PerIteration: d.opi.PerIteration, MaxInsertions: d.opi.MaxPoints,
+	})
+	if len(d.flow.Targets) == 0 {
+		t.Fatalf("%s: the library flow suggested no points", n.Name)
+	}
+	for _, v := range d.flow.Targets {
+		d.points = append(d.points, NodeScore{ID: v, Name: n.Gate(v).Name, Score: labels[v]})
+	}
+}
+
+// TestOPIByIDRunsNoForward: with a real model, /v1/opi by id runs its
+// flow on a copy of the cached design's warm session, so no request opens
+// a session with a whole-graph forward (opi.full_inferences stays put),
+// and every answer is == the library flow's.
+func TestOPIByIDRunsNoForward(t *testing.T) {
+	m := core.MustNewModel(core.DefaultConfig())
+	d := &mixedDesign{text: benchText(t, circuitgen.Generate("byid", circuitgen.Config{Seed: 51, NumGates: 200}))}
+	n, meas, g := compileForTest(t, d.text)
+	d.scores = m.PredictProbs(g)
+	setLibraryOPI(t, d, m, n, meas, g, d.scores)
+	if d.flow.Iterations < 2 {
+		t.Fatalf("the library flow ran %d round(s); the test needs updates", d.flow.Iterations)
+	}
+
+	_, ts := newTestServer(t, Options{Predictor: m})
+	id, err := checkScores(ts.URL+"/v1/score", ScoreRequest{Netlist: d.text}, d.scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, updates := obs.GetCounter("opi.full_inferences"), obs.GetCounter("opi.incremental_updates")
+	full0, updates0 := full.Value(), updates.Value()
+	const requests = 3
+	req := d.opi
+	req.Design = id
+	for i := 0; i < requests; i++ {
+		if err := checkOPI(ts.URL, req, d); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if got := full.Value() - full0; got != 0 {
+		t.Fatalf("%d /v1/opi requests by id opened %d sessions with a whole-graph forward, want 0", requests, got)
+	}
+	if got, want := updates.Value()-updates0, int64(requests*(d.flow.Iterations-1)); got != want {
+		t.Fatalf("the flows made %d session updates, want %d", got, want)
 	}
 }
 
@@ -164,7 +213,9 @@ func mixedTraffic(t *testing.T, url string, designs []*mixedDesign) {
 					return fmt.Errorf("delta %d: %v", k, err)
 				}
 			}
-			return nil
+			req := d.opi
+			req.Design = id
+			return checkOPI(url, req, d)
 		})
 	}
 	for i := 5; i < 7; i++ {

@@ -11,7 +11,8 @@
 #      internal/tensor scratch sets, internal/core parallel trainer and
 #      tiled inference, internal/sparse parallel SpMM, internal/fault
 #      bit-parallel sim, internal/opi parallel impact ranking,
-#      internal/coarsen projection), plus the coarsening and
+#      internal/coarsen projection, internal/netlist cone scratch
+#      shared by the ranking's par helpers), plus the coarsening and
 #      dense-forward-oracle suites in internal/refcheck under the race
 #      detector
 #   4. the full test suite
@@ -58,8 +59,8 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen"
-go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen
+echo "== go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen ./internal/netlist"
+go test -race ./internal/obs ./internal/par ./internal/tensor ./internal/core ./internal/sparse ./internal/fault ./internal/opi ./internal/serve ./internal/coarsen ./internal/netlist
 
 echo "== go test -race -run 'Coarsen|DenseOracle' ./internal/refcheck (coarsening equivalence and the dense forward oracle under race)"
 go test -race -run 'Coarsen|DenseOracle' ./internal/refcheck
