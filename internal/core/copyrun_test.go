@@ -20,7 +20,7 @@ func sessionStates(t *testing.T, run IncrementalRun) []*IncrementalState {
 }
 
 // sessionSlices lists a session's live slices: its probabilities, then
-// per stage E_0 … E_D, the logits and the stage probabilities.
+// per stage E_0 … E_{D-1} and the stage probabilities.
 func sessionSlices(t *testing.T, run IncrementalRun) [][]float64 {
 	t.Helper()
 	out := [][]float64{run.Probs()}
@@ -28,7 +28,7 @@ func sessionSlices(t *testing.T, run IncrementalRun) [][]float64 {
 		for _, e := range st.embeds {
 			out = append(out, e.Data)
 		}
-		out = append(out, st.logits.Data, st.Probs)
+		out = append(out, st.Probs)
 	}
 	return out
 }
@@ -64,8 +64,8 @@ func requireSameBits(t *testing.T, what string, got, want [][]float64) {
 
 // TestCopyRunMatchesFreshSession: a copy of a session that has taken
 // updates with appended rows, so that its matrices carry headroom, is ==
-// a session opened on a clone of the graph, in probabilities, embeddings
-// and logits. The copy and its source then update independently, and the
+// a session opened on a clone of the graph, in probabilities and
+// embeddings. The copy and its source then update independently, and the
 // copy's first update, which appends the 64 rows the copy was sized for,
 // reslices every matrix instead of reallocating it and fills it to
 // capacity: the copy reserves exactly the rows it is asked for.

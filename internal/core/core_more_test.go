@@ -72,16 +72,6 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestEmbeddingsShape(t *testing.T) {
-	g := testGraph(76, 100)
-	cfg := tinyConfig(5)
-	m := MustNewModel(cfg)
-	e := m.Embeddings(g)
-	if e.Rows != g.N || e.Cols != cfg.Dims[len(cfg.Dims)-1] {
-		t.Fatalf("embeddings %d×%d", e.Rows, e.Cols)
-	}
-}
-
 func TestMultiStageSaveLoadRoundTrip(t *testing.T) {
 	graphs := []*Graph{testGraph(77, 250)}
 	opt := DefaultMultiStageOptions()

@@ -151,19 +151,7 @@ func (g *Graph) AddObservationPoint(target int32) int32 {
 		g.succ.AppendToRow(target, p, 1)
 	}
 
-	// Grow X by one row. The insertion flow appends one node at a time,
-	// so reallocating the whole matrix per insertion would be O(N) each;
-	// grow with 25% capacity headroom and reslice in place afterwards.
-	need := g.N * InputDim
-	if cap(g.X.Data) >= need {
-		g.X.Data = g.X.Data[:need]
-		g.X.Rows = g.N
-	} else {
-		nx := &tensor.Dense{Rows: g.N, Cols: InputDim,
-			Data: make([]float64, need, need+need/4)}
-		copy(nx.Data, g.X.Data)
-		g.X = nx
-	}
+	g.X = growRows(g.X, g.N)
 	a := AttributeVector(0, 1, 1, 0)
 	copy(g.X.Row(int(p)), a[:])
 

@@ -13,7 +13,7 @@ import (
 // refreshes inside a fan-in cone), and a depth-D GCN's output can change
 // only within D hops of those modifications. Instead of re-running the
 // full matrix inference after every insertion, IncrementalState caches
-// all layer embeddings and relaxes just the growing D-hop frontier.
+// the inputs of every layer and relaxes just the growing D-hop frontier.
 //
 // UpdateIncremental produces results bit-identical to a fresh Forward
 // (pinned with == by the tests): each frontier row runs the same
@@ -68,15 +68,14 @@ func (r *fullPassRun) Probs() []float64 { return r.probs }
 
 func (r *fullPassRun) Update(g *Graph, _ []int32) { r.probs = r.score(g) }
 
-// IncrementalState caches per-layer embeddings and output probabilities
-// for incremental updates. It is tied to the (model, graph) pair that
-// produced it, and holds exactly E_0 … E_D, the logits and the
-// probabilities; an update's per-tile buffers are pooled scratch.
-// The frontier is tracked with an epoch-stamped mark array instead of
-// per-update maps, so repeated updates stay allocation-light.
+// IncrementalState caches exactly what its next update reads: E_0 …
+// E_{D-1}, the inputs of the D encoder layers, and the probabilities it
+// refreshes; E_D and the logits exist only in the tiles of a pass. It is
+// tied to the (model, graph) pair that produced it. The frontier is
+// tracked with an epoch-stamped mark array instead of per-update maps,
+// so repeated updates stay allocation-light.
 type IncrementalState struct {
-	embeds []*tensor.Dense // embeds[0] = X copy, embeds[d] = E_d
-	logits *tensor.Dense
+	embeds []*tensor.Dense // E_0 … E_{D-1}; E_0 is a private copy of X, so only dirty rows reach it
 	Probs  []float64
 
 	mark          []int32 // mark[v] == epoch ⇔ v is in the current frontier
@@ -84,13 +83,10 @@ type IncrementalState struct {
 	front, front2 []int32 // frontier node lists (double-buffered)
 }
 
-// Embeddings returns the cached per-layer embeddings E_0 … E_D. They are
-// owned by the state and refreshed in place by updates; treat them as
-// read-only.
+// Embeddings returns the cached per-layer embeddings E_0 … E_{D-1}. They
+// are owned by the state and refreshed in place by updates; treat them
+// as read-only.
 func (st *IncrementalState) Embeddings() []*tensor.Dense { return st.embeds }
-
-// Logits returns the cached logits, owned by the state like Embeddings.
-func (st *IncrementalState) Logits() *tensor.Dense { return st.logits }
 
 // modelRun adapts a (Model, IncrementalState) pair to IncrementalRun.
 type modelRun struct {
@@ -109,11 +105,11 @@ func (m *Model) NewIncremental(g *Graph) IncrementalRun {
 }
 
 // CopyRun returns an independent copy of an open *Model or *MultiStage
-// session: the live rows of E_0 … E_D, the logits and the
-// probabilities, bit for bit, with fresh frontier marks. Since an update
-// is == a full pass, the copy is == a session opened on a clone of the
-// session's graph, and it costs a copy instead of a forward. Updating
-// the copy leaves the source's bits unchanged, and the other way round.
+// session: the live rows of E_0 … E_{D-1} and the probabilities, bit for
+// bit, with fresh frontier marks. Since an update is == a full pass, the
+// copy is == a session opened on a clone of the session's graph, and it
+// costs a copy instead of a forward. Updating the copy leaves the
+// source's bits unchanged, and the other way round.
 // rows is how many rows the caller's updates will append at most (an
 // insertion flow's observation-point budget): every copied matrix keeps
 // exactly that much headroom, so those updates reslice it instead of
@@ -133,7 +129,7 @@ func CopyRun(run IncrementalRun, rows int) (copied IncrementalRun, ok bool) {
 // copy returns the state's rows with headroom for rows more and fresh
 // frontier marks.
 func (st *IncrementalState) copy(rows int) *IncrementalState {
-	c := &IncrementalState{logits: copyDense(st.logits, rows), Probs: copyRows(st.Probs, 1, rows)}
+	c := &IncrementalState{Probs: copyRows(st.Probs, 1, rows)}
 	for _, e := range st.embeds {
 		c.embeds = append(c.embeds, copyDense(e, rows))
 	}
@@ -159,8 +155,9 @@ func copyRows(s []float64, cols, rows int) []float64 {
 func (m *Model) ForwardFull(g *Graph) *IncrementalState {
 	span := obs.StartSpan("infer/full")
 	defer span.End()
-	logits, embeds := infer(newWeights[float64](m), g, true)
-	return &IncrementalState{embeds: embeds, logits: logits, Probs: probs(logits)}
+	st := &IncrementalState{Probs: make([]float64, g.N)}
+	_, st.embeds = infer(newWeights[float64](m), g, st.Probs)
+	return st
 }
 
 // UpdateIncremental refreshes the state after graph mutations. dirty
@@ -183,7 +180,6 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		for d := range st.embeds {
 			st.embeds[d] = growRows(st.embeds[d], g.N)
 		}
-		st.logits = growRows(st.logits, g.N)
 		st.Probs = append(st.Probs, make([]float64, g.N-oldN)...)
 		for v := oldN; v < g.N; v++ {
 			dirty = append(dirty, int32(v))
@@ -215,12 +211,12 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 	// whole-graph forward, over the frontier rows instead of all rows:
 	// each tile gathers its aggregates, runs the encoder and scatters the
 	// rows back into the cache, and the last layer's tiles run the FC head
-	// and refresh the logits and probabilities. Per row the kernels
+	// on their E_D rows and refresh the probabilities. Per row the kernels
 	// accumulate in the same order as the whole-graph pass, so the update
 	// is bit-identical to it.
 	p := newPass(newWeights[float64](m), g)
 	defer p.release()
-	p.logits, p.probs = st.logits, st.Probs
+	p.probs = st.Probs
 	for d := range m.Enc {
 		// A node's E_{d+1} depends on its own and its neighbors' E_d, so
 		// the affected set grows by one hop per layer.
@@ -250,17 +246,21 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		nodes, next = next, nodes
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		p.rows, p.n = nodes, len(nodes)
-		p.layer(d, st.embeds[d], st.embeds[d+1])
+		var out *tensor.Dense // E_{d+1}; nil for E_D, which only the head's tiles hold
+		if d+1 < len(st.embeds) {
+			out = st.embeds[d+1]
+		}
+		p.layer(d, st.embeds[d], out)
 	}
 	return nodes
 }
 
-// growRows extends a cached matrix to cover appended nodes. The flow
-// appends a handful of rows per iteration, so reallocating (and copying)
-// the whole matrix every update would turn the cache itself into a
-// per-iteration O(N) cost and a GC storm; instead the first grow
-// over-allocates 25% headroom and later grows reslice in place (the
-// make-time zeroing covers the not-yet-used capacity).
+// growRows extends a per-node matrix (a session's embeddings, a graph's
+// X) to cover appended nodes. The flow appends a handful of rows per
+// iteration, so reallocating (and copying) the whole matrix every time
+// would turn it into a per-iteration O(N) cost and a GC storm; instead
+// the first grow over-allocates 25% headroom and later grows reslice in
+// place (the make-time zeroing covers the not-yet-used capacity).
 func growRows(d *tensor.Dense, rows int) *tensor.Dense {
 	if d.Rows >= rows {
 		return d

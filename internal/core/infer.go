@@ -107,7 +107,7 @@ const tileRows = 128
 // whichever worker ran it and however the rows were tiled.
 //
 // Tiles only read E_d, the adjacency and the weights, and each writes
-// its own rows of E_{d+1}, the logits and the probabilities, so the
+// its own rows of E_{d+1} and of the logits or the probabilities, so the
 // workers share nothing else. g.Pred() and g.Succ() are resolved on the
 // caller before the first round, since their lazy rebuild is not safe for
 // concurrent first use. Passes and tile sets live on free lists per
@@ -118,13 +118,14 @@ type pass[T tensor.Float] struct {
 	rows []int32 // the frontier rows (sorted); nil for the whole graph
 	n    int     // rows in the pass: len(rows), or the graph's N
 	d    int     // the encoder layer of the current round
-	// in is E_d and out is E_{d+1}, nil on the last layer of a pass that
-	// returns only logits.
+	// in is E_d and out is E_{d+1}, nil on the last layer: E_D exists
+	// only in tile scratch, for the head to read.
 	in, out *tensor.Mat[T]
-	logits  *tensor.Mat[T]
-	// probs, when set (the incremental session), receives each row's
-	// positive-class probability, computed on the tile as probs does.
-	probs []float64
+	// The head writes the logits rows of a whole-graph forward, or, when
+	// probs is set (the incremental session), each row's positive-class
+	// probability, computed on the tile as probs does.
+	logits *tensor.Mat[T]
+	probs  []float64
 }
 
 // tileSet is one worker's scratch for one tile. Each matrix is reshaped
@@ -133,7 +134,7 @@ type tileSet[T tensor.Float] struct {
 	agg, prod tensor.Mat[T]    // the aggregate; the P·E and S·E rows in turn
 	out       tensor.Mat[T]    // E_{d+1} rows that are not written in place
 	fc        [2]tensor.Mat[T] // the FC head's alternating activations
-	logits    tensor.Mat[T]    // the logits of frontier rows
+	logits    tensor.Mat[T]    // the logits of a session's rows
 }
 
 // shape returns d reshaped to rows×cols, growing its backing array to a
@@ -235,8 +236,8 @@ func (p *pass[T]) aggregate(agg, prod *tensor.Mat[T], sel []int32, lo, hi int) {
 // head runs the FC classifier over the tile's final embeddings in. The
 // hidden activations alternate between the tile set's two FC buffers;
 // the logits go straight into their rows of the whole-graph logits, or,
-// for frontier rows, through a tile that is scattered into the
-// session's logits and then turned into probabilities in place.
+// in a session, into a logits tile that the same softmax as probs turns
+// into the rows' probabilities in place.
 func (p *pass[T]) head(s *tileSet[T], in *tensor.Mat[T], sel []int32, lo, hi int) {
 	fc := p.w.fc
 	h := in
@@ -246,61 +247,62 @@ func (p *pass[T]) head(s *tileSet[T], in *tensor.Mat[T], sel []int32, lo, hi int
 		h = next
 	}
 	last := &fc[len(fc)-1]
-	if sel == nil {
+	if p.probs == nil {
 		last.apply(p.logits.RowRange(lo, hi), h, false)
 		return
 	}
-	logits := shape(&s.logits, in.Rows, p.logits.Cols)
+	logits := shape(&s.logits, in.Rows, last.W.Cols)
 	last.apply(logits, h, false)
-	for i, v := range sel {
-		copy(p.logits.Row(int(v)), logits.Row(i))
-	}
-	// The same softmax as probs, in place on the tile once its logits are
-	// saved.
 	logits.SoftmaxRowsInPlace()
-	for i, v := range sel {
+	for i := range logits.Rows {
+		v := lo + i
+		if sel != nil {
+			v = int(sel[i])
+		}
 		p.probs[v] = float64(logits.At(i, 1))
 	}
 }
 
 // infer is the inference forward over the whole graph in precision T.
-// It returns newly allocated logits and, when keep is set, the
-// per-layer embeddings E_0 (a private copy of g.X) … E_D, also newly
-// allocated and owned by the caller. Without keep, E_1 … E_{D-1} are
+// Without probs it returns newly allocated logits; E_1 … E_{D-1} are
 // scratch from the retained tensor.Scratch set, at most two of them live
-// at a time, E_0 is g.X itself in float64, and E_D never exists beyond
-// the tile the head reads it from. Everything else is per-tile scratch
-// from the workers' tile sets, so neither the Model nor its MLP holds any
+// at a time, and E_0 is g.X itself in float64. With probs (the
+// incremental session's, len g.N) the head writes every row's
+// positive-class probability into it instead, and infer returns no
+// logits but E_0 (a private copy of g.X) … E_{D-1}, newly allocated and
+// owned by the caller. Either way E_D never exists beyond the tile the
+// head reads it from, and everything else is per-tile scratch from the
+// workers' tile sets, so neither the Model nor its MLP holds any
 // per-call buffer afterwards.
-func infer[T tensor.Float](w *weights[T], g *Graph, keep bool) (*tensor.Mat[T], []*tensor.Mat[T]) {
+func infer[T tensor.Float](w *weights[T], g *Graph, probs []float64) (*tensor.Mat[T], []*tensor.Mat[T]) {
+	keep := probs != nil
+	alloc := tensor.New[T]
 	var s *tensor.Scratch[T]
 	if !keep {
 		s = tensor.AcquireScratch[T]()
 		defer s.Release()
+		alloc = s.Get
 	}
 	p := newPass(w, g)
 	defer p.release()
-	logits := tensor.New[T](g.N, w.fc[len(w.fc)-1].W.Cols)
-	p.logits = logits
+	p.probs = probs
+	if !keep {
+		p.logits = tensor.New[T](g.N, w.fc[len(w.fc)-1].W.Cols)
+	}
 	var embeds []*tensor.Mat[T]
 	cur, shared := any(g.X).(*tensor.Mat[T])
 	if keep || !shared {
 		shared = false
-		if keep {
-			cur = tensor.New[T](g.N, g.X.Cols)
-		} else {
-			cur = s.Get(g.N, g.X.Cols)
-		}
+		cur = alloc(g.N, g.X.Cols)
 		tensor.ConvertInto(cur, g.X)
 	}
 	for d := range w.enc {
-		var next *tensor.Mat[T]
-		switch {
-		case keep:
+		if keep {
 			embeds = append(embeds, cur)
-			next = tensor.New[T](g.N, w.enc[d].W.Cols)
-		case d < len(w.enc)-1:
-			next = s.Get(g.N, w.enc[d].W.Cols)
+		}
+		var next *tensor.Mat[T] // nil for E_D, which lives only in the head's tiles
+		if d < len(w.enc)-1 {
+			next = alloc(g.N, w.enc[d].W.Cols)
 		}
 		p.layer(d, cur, next)
 		if !keep && !shared {
@@ -308,10 +310,7 @@ func infer[T tensor.Float](w *weights[T], g *Graph, keep bool) (*tensor.Mat[T], 
 		}
 		cur, shared = next, false
 	}
-	if keep {
-		embeds = append(embeds, cur)
-	}
-	return logits, embeds
+	return p.logits, embeds
 }
 
 // probs returns the positive-class probability of every row of logits.

@@ -63,8 +63,8 @@ func (c Config) validate() error {
 // with the scalar weights wpr and wsu shared across depths and learned
 // end-to-end together with the encoder matrices W_d and the classifier.
 //
-// The inference calls (Forward, Embeddings, Predict, PredictProbs,
-// PredictProbs32, ForwardFull, NewIncremental and the session's updates)
+// The inference calls (Forward, Predict, PredictProbs, PredictProbs32,
+// ForwardFull, NewIncremental and the session's updates)
 // only read the Model, so one Model may serve any number of concurrent
 // callers. Training and the recursive baseline (InferRecursive) write it.
 type Model struct {
@@ -171,14 +171,8 @@ type forwardCache struct {
 // this implementation evaluates as three terms so that wpr and wsu stay
 // differentiable scalars. Forward always runs float64.
 func (m *Model) Forward(g *Graph) *tensor.Dense {
-	logits, _ := infer(newWeights[float64](m), g, false)
+	logits, _ := infer(newWeights[float64](m), g, nil)
 	return logits
-}
-
-// Embeddings returns the final node embeddings E_D (before the FC head).
-func (m *Model) Embeddings(g *Graph) *tensor.Dense {
-	_, embeds := infer(newWeights[float64](m), g, true)
-	return embeds[len(embeds)-1]
 }
 
 // forward is the training pass: the same aggregate and encoder steps as
@@ -263,7 +257,7 @@ func (m *Model) PredictProbs(g *Graph) []float64 { return m.Predict(g) }
 // decision 10). The weights are narrowed for this call only, so nothing
 // is cached on the Model.
 func (m *Model) PredictProbs32(g *Graph) []float64 {
-	logits, _ := infer(newWeights[float32](m), g, false)
+	logits, _ := infer(newWeights[float32](m), g, nil)
 	return probs(logits)
 }
 

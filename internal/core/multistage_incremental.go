@@ -8,8 +8,8 @@ package core
 // pure function of that node's per-stage probabilities. So a cascade
 // session caches one IncrementalState per stage, propagates the dirty
 // frontier through each of them, and refreshes the cascade decision
-// (the activeList walk of PredictProbs) for exactly the union of the
-// stages' affected frontiers instead of all N nodes.
+// (the activeList walk of PredictProbs) over exactly the stages'
+// affected frontiers instead of all N nodes.
 
 // MultiStageState caches one incremental-inference state per cascade
 // stage plus the combined cascade output probabilities.
@@ -75,25 +75,24 @@ func (ms *MultiStage) cascadeProb(stageProbs [][]float64, v int) float64 {
 
 // UpdateIncremental refreshes the cascade state after graph mutations:
 // the dirty set (plus appended nodes) is propagated through every
-// stage's cached state, and the cascade verdict is recomputed for the
-// union of the stages' affected frontiers. Returns that union.
-func (ms *MultiStage) UpdateIncremental(st *MultiStageState, g *Graph, dirty []int32) []int32 {
-	affected := make(map[int32]bool)
+// stage's cached state, and then the cascade verdict is recomputed over
+// each stage's affected frontier. cascadeProb is a pure function of the
+// stages' probabilities, so a node in two frontiers gets the same bits
+// twice.
+func (ms *MultiStage) UpdateIncremental(st *MultiStageState, g *Graph, dirty []int32) {
+	fronts := make([][]int32, len(ms.Stages))
 	for i, m := range ms.Stages {
-		for _, v := range m.UpdateIncremental(st.stages[i], g, dirty) {
-			affected[v] = true
-		}
+		fronts[i] = m.UpdateIncremental(st.stages[i], g, dirty)
 	}
 	if g.N > len(st.Probs) {
 		st.Probs = append(st.Probs, make([]float64, g.N-len(st.Probs))...)
 	}
 	stageProbs := st.stageProbs()
-	out := make([]int32, 0, len(affected))
-	for v := range affected {
-		st.Probs[v] = ms.cascadeProb(stageProbs, int(v))
-		out = append(out, v)
+	for _, front := range fronts {
+		for _, v := range front {
+			st.Probs[v] = ms.cascadeProb(stageProbs, int(v))
+		}
 	}
-	return out
 }
 
 // multiStageRun adapts a (MultiStage, MultiStageState) pair to

@@ -54,16 +54,16 @@ func ExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
 	return impact
 }
 
-// selectByExactImpact ranks candidates by hypothetical-insertion impact
-// and picks the round's targets with the same pickCovering as the
-// static ranking.
+// selectByExactImpact ranks nodes, the round's positives in ascending
+// id, by hypothetical-insertion impact and picks the round's targets
+// with the same pickCovering as the static ranking.
 func selectByExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
-	pred core.IncrementalPredictor, probs []float64, positives map[int32]bool, cfg FlowConfig) []int32 {
+	pred core.IncrementalPredictor, probs []float64, nodes []int32, cfg FlowConfig) []int32 {
 
-	nodes, cones := positiveCones(n, positives, cfg.ConeLimit)
+	cones := positiveCones(n, nodes, cfg.ConeLimit)
 	impact := make([]int, len(nodes))
 	for i, v := range nodes {
 		impact[i] = ExactImpact(n, meas, g, pred, probs, cfg.Threshold, v, cfg.ConeLimit)
 	}
-	return pickCovering(nodes, impact, cones, cfg.PerIteration)
+	return pickCovering(n, nodes, impact, cones, cfg.PerIteration)
 }

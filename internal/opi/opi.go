@@ -130,7 +130,9 @@ func runFlow(span *obs.Span, n *netlist.Netlist, meas *scoap.Measures, g *core.G
 	cfg = cfg.withDefaults()
 	res := FlowResult{}
 	observed := observedSet(n)
-	var dirty []int32 // attribute rows refreshed since the last update
+	var dirty []int32    // attribute rows refreshed since the last update
+	var nodes []int32    // the round's positives in ascending id, reused
+	var positives []bool // and marked over the cells, reused
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		iterSpan := span.Child("iteration")
@@ -141,29 +143,32 @@ func runFlow(span *obs.Span, n *netlist.Netlist, meas *scoap.Measures, g *core.G
 			dirty = dirty[:0]
 		}
 		probs := run.Probs()
-		positives := make(map[int32]bool)
+		observed = growMask(observed, n.NumGates())
+		positives = growMask(positives[:0], n.NumGates())
+		nodes = nodes[:0]
 		for v := 0; v < g.N && v < n.NumGates(); v++ {
-			if probs[v] >= cfg.Threshold && insertable(n, int32(v)) && !observed[int32(v)] {
-				positives[int32(v)] = true
+			if probs[v] >= cfg.Threshold && insertable(n, int32(v)) && !observed[v] {
+				positives[v] = true
+				nodes = append(nodes, int32(v))
 			}
 		}
 		res.Iterations = iter + 1
-		res.FinalPositives = len(positives)
-		opiPositives.Observe(int64(len(positives)))
+		res.FinalPositives = len(nodes)
+		opiPositives.Observe(int64(len(nodes)))
 		if cfg.Progress != nil {
-			cfg.Progress(iter, len(positives), len(res.Targets))
+			cfg.Progress(iter, len(nodes), len(res.Targets))
 		}
-		if len(positives) == 0 {
+		if len(nodes) == 0 {
 			iterSpan.End()
 			return res
 		}
 
 		rankSpan := iterSpan.Child("rank")
 		var selected []int32
-		if len(positives) <= cfg.ExactImpact {
-			selected = selectByExactImpact(n, meas, g, pred, probs, positives, cfg)
+		if len(nodes) <= cfg.ExactImpact {
+			selected = selectByExactImpact(n, meas, g, pred, probs, nodes, cfg)
 		} else {
-			selected = selectByImpact(n, positives, cfg)
+			selected = selectByImpact(n, nodes, positives, cfg)
 		}
 		rankSpan.End()
 		if cfg.MaxInsertions > 0 && len(res.Targets)+len(selected) > cfg.MaxInsertions {
@@ -196,15 +201,17 @@ func runFlow(span *obs.Span, n *netlist.Netlist, meas *scoap.Measures, g *core.G
 }
 
 // selectByImpact ranks positive nodes by impact (1 + positives in the
-// fan-in cone) and picks the round's targets with pickCovering.
+// fan-in cone) and picks the round's targets with pickCovering. nodes
+// lists the positives in ascending id, and positives marks them over
+// n's cells.
 //
 // The per-positive fan-in-cone BFS is the flow's second hot spot once
 // inference runs incrementally, so the cones are extracted on the shared
 // par helpers (FaninCone only reads immutable netlist structure, never
 // the lazy caches, so concurrent traversals are safe). Each cone depends
 // only on its node, so the ranking does not depend on the worker count.
-func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig) []int32 {
-	nodes, cones := positiveCones(n, positives, cfg.ConeLimit)
+func selectByImpact(n *netlist.Netlist, nodes []int32, positives []bool, cfg FlowConfig) []int32 {
+	cones := positiveCones(n, nodes, cfg.ConeLimit)
 	impact := make([]int, len(nodes))
 	for i, cone := range cones {
 		impact[i] = 1
@@ -214,27 +221,22 @@ func selectByImpact(n *netlist.Netlist, positives map[int32]bool, cfg FlowConfig
 			}
 		}
 	}
-	return pickCovering(nodes, impact, cones, cfg.PerIteration)
+	return pickCovering(n, nodes, impact, cones, cfg.PerIteration)
 }
 
-// positiveCones lists the positive nodes in ascending id with the
-// fan-in cone of each, extracted in parallel.
-func positiveCones(n *netlist.Netlist, positives map[int32]bool, limit int) ([]int32, [][]int32) {
-	nodes := make([]int32, 0, len(positives))
-	for v := range positives {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+// positiveCones returns the fan-in cone of each of nodes, extracted in
+// parallel.
+func positiveCones(n *netlist.Netlist, nodes []int32, limit int) [][]int32 {
 	cones := &coneJob{n: n, nodes: nodes, limit: limit, cones: make([][]int32, len(nodes))}
 	par.For(0, len(nodes), cones)
-	return nodes, cones.cones
+	return cones.cones
 }
 
 // pickCovering returns up to limit of nodes in descending impact, ties
 // by ascending id, skipping a node inside the cone of an already-picked
 // node so a single funnel is not observed at every node simultaneously.
-// impact[i] and cones[i] belong to nodes[i].
-func pickCovering(nodes []int32, impact []int, cones [][]int32, limit int) []int32 {
+// impact[i] and cones[i] belong to nodes[i], cells of n.
+func pickCovering(n *netlist.Netlist, nodes []int32, impact []int, cones [][]int32, limit int) []int32 {
 	order := make([]int, len(nodes))
 	for i := range order {
 		order[i] = i
@@ -246,7 +248,7 @@ func pickCovering(nodes []int32, impact []int, cones [][]int32, limit int) []int
 		}
 		return nodes[i] < nodes[j]
 	})
-	covered := make(map[int32]bool)
+	covered := make([]bool, n.NumGates())
 	var selected []int32
 	for _, i := range order {
 		if len(selected) >= limit {
@@ -330,18 +332,25 @@ func insertable(n *netlist.Netlist, v int32) bool {
 	return true
 }
 
-// observedSet returns the nodes that already drive an observation point.
-// Obs cells without fanin (a malformed netlist — nothing in this
-// repository builds one, but inputs arrive from parsers and fuzzers too)
-// observe nothing and are skipped rather than panicking the flow.
-func observedSet(n *netlist.Netlist) map[int32]bool {
-	out := make(map[int32]bool)
+// observedSet marks, over n's cells, the nodes that already drive an
+// observation point. Obs cells without fanin (a malformed netlist —
+// nothing in this repository builds one, but inputs arrive from parsers
+// and fuzzers too) observe nothing and are skipped rather than panicking
+// the flow.
+func observedSet(n *netlist.Netlist) []bool {
+	out := make([]bool, n.NumGates())
 	for _, op := range n.ObservationPoints() {
 		if fi := n.Fanin(op); len(fi) > 0 {
 			out[fi[0]] = true
 		}
 	}
 	return out
+}
+
+// growMask extends mask, a mark per cell, to cells cells, the new ones
+// unmarked; growMask(mask[:0], cells) clears it, reusing its array.
+func growMask(mask []bool, cells int) []bool {
+	return append(mask, make([]bool, cells-len(mask))...)
 }
 
 // BaselineConfig controls the industrial-tool stand-in.
@@ -368,6 +377,7 @@ func IndustrialBaseline(n *netlist.Netlist, meas *scoap.Measures, cfg BaselineCo
 	var targets []int32
 	observed := observedSet(n)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		observed = growMask(observed, n.NumGates())
 		type scored struct {
 			node int32
 			co   int32
@@ -455,6 +465,7 @@ func SimulationGreedy(n *netlist.Netlist, cfg SimGreedyConfig) []int32 {
 	var targets []int32
 	observed := observedSet(n)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		observed = growMask(observed, n.NumGates())
 		counts := fault.ObservabilityCounts(n, cfg.Patterns, cfg.Seed+int64(iter))
 		type scored struct {
 			node  int32

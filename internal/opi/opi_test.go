@@ -106,8 +106,9 @@ func TestImpactSelectionPrefersConeRoots(t *testing.T) {
 	b := n.MustAddGate(netlist.Buf, "b", a)
 	c := n.MustAddGate(netlist.Buf, "c", b)
 	n.MustAddGate(netlist.Output, "po", c)
-	positives := map[int32]bool{a: true, b: true, c: true}
-	sel := selectByImpact(n, positives, FlowConfig{}.withDefaults())
+	positives := make([]bool, n.NumGates())
+	positives[a], positives[b], positives[c] = true, true, true
+	sel := selectByImpact(n, []int32{a, b, c}, positives, FlowConfig{}.withDefaults())
 	if len(sel) != 1 || sel[0] != c {
 		t.Errorf("selected %v, want [%d] (cone root only)", sel, c)
 	}
@@ -265,8 +266,9 @@ func TestObservedSetSkipsFaninlessObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Gate(op).Fanin = nil // simulate the malformed input
-	got := observedSet(n)
-	if len(got) != 0 {
-		t.Errorf("fanin-less Obs cell observed %v, want nothing", got)
+	for v, observed := range observedSet(n) {
+		if observed {
+			t.Errorf("fanin-less Obs cell observed %d, want nothing", v)
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 type poolCase struct {
 	n         *netlist.Netlist
 	g         *core.Graph
-	positives map[int32]bool
+	nodes     []int32       // the positives in ascending id
+	positives []bool        // and marked over the cells
 	x         *tensor.Dense // an SpMM operand
 	logits    *tensor.Dense // Model.Forward
 	probs32   []float64     // Model.PredictProbs32
@@ -69,11 +70,12 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 	var cases []*poolCase
 	for i := int64(0); i < 3; i++ {
 		n, _, g := buildBench(t, 70+i, 300+100*int(i))
-		c := &poolCase{n: n, g: g, positives: map[int32]bool{}}
+		c := &poolCase{n: n, g: g, positives: make([]bool, n.NumGates())}
 		rng := rand.New(rand.NewSource(i))
 		for v := 0; v < g.N; v++ {
 			if rng.Intn(8) == 0 {
-				c.positives[int32(v)] = true
+				c.positives[v] = true
+				c.nodes = append(c.nodes, int32(v))
 			}
 		}
 		c.x = tensor.NewDense(g.N, 16)
@@ -85,7 +87,7 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 		c.incr = editCase(ref, g, 100+i)
 		c.spmm = tensor.NewDense(g.N, 16)
 		g.Pred().MulDense(c.spmm, c.x)
-		c.sel = selectByImpact(n, c.positives, cfg)
+		c.sel = selectByImpact(n, c.nodes, c.positives, cfg)
 		cases = append(cases, c)
 	}
 	var wg sync.WaitGroup
@@ -114,7 +116,7 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 						t.Errorf("worker %d: concurrent sparse.Mul differs from the serial product", w)
 					}
 				case 3:
-					got := selectByImpact(c.n, c.positives, cfg)
+					got := selectByImpact(c.n, c.nodes, c.positives, cfg)
 					if len(got) != len(c.sel) {
 						t.Errorf("worker %d: concurrent ranking selected %d nodes, serial %d", w, len(got), len(c.sel))
 						continue

@@ -66,9 +66,10 @@ func biasReLU(h *tensor.Dense, l *nn.Linear, relu bool) *tensor.Dense {
 	return h
 }
 
-// CheckForwardOracle compares every layer's embeddings and the logits of
-// m.ForwardFull(g) against RefForward and returns an error naming the
-// first that differs by more than MatTolerance.
+// CheckForwardOracle compares the embeddings E_0 … E_{D-1} that the
+// session of m.ForwardFull(g) keeps, and the logits of m.Forward(g),
+// which cover E_D through the head, against RefForward and returns an
+// error naming the first that differs by more than MatTolerance.
 func CheckForwardOracle(m *core.Model, g *core.Graph) error {
 	st := m.ForwardFull(g)
 	embeds, logits := RefForward(m, g)
@@ -77,7 +78,7 @@ func CheckForwardOracle(m *core.Model, g *core.Graph) error {
 			return fmt.Errorf("E_%d diverges from the dense oracle by %g", d, diff)
 		}
 	}
-	if diff := MaxRelDiff(st.Logits(), logits); diff > MatTolerance {
+	if diff := MaxRelDiff(m.Forward(g), logits); diff > MatTolerance {
 		return fmt.Errorf("logits diverge from the dense oracle by %g", diff)
 	}
 	return nil

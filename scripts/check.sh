@@ -15,7 +15,11 @@
 #      shared by the ranking's par helpers), plus the coarsening and
 #      dense-forward-oracle suites in internal/refcheck under the race
 #      detector
-#   4. the full test suite
+#   4. the full test suite, then go vet and go test over perfbench, the
+#      serving benchmark: it is a module of its own, so go build ./...
+#      never compiles it, and a change to an API it calls would otherwise
+#      first fail when the benchmark runs (module settings as in
+#      perfbench/run.sh)
 #   5. per-package coverage floors for the numerically critical packages
 #      (set ~5 points under their measured coverage so real erosion
 #      fails, incidental churn doesn't; see docs/TESTING.md)
@@ -68,6 +72,10 @@ go test -race -run 'Coarsen|DenseOracle' ./internal/refcheck
 echo "== go build ./... && go test ./..."
 go build ./...
 go test ./...
+
+echo "== go -C perfbench vet ./... && go -C perfbench test ./... (the benchmark's own module)"
+GOWORK=off GOPROXY=off GOFLAGS= go -C perfbench vet ./...
+GOWORK=off GOPROXY=off GOFLAGS= go -C perfbench test ./...
 
 echo "== coverage floors"
 # Floors sit ~5 points below measured coverage at the time the gate was
