@@ -148,6 +148,49 @@ func TestInPlaceCSRMatchesConversion(t *testing.T) {
 	}
 }
 
+// TestCloneCopiesBuiltCSRs clones graphs with both CSRs built, only P,
+// or neither, and checks that the clone holds what the source had built
+// (converting nothing on its first use), that its Pred() and Succ() are
+// == a fresh conversion of its COO, and that observation points added to
+// the clone leave the source's CSRs as they were while the clone's stay
+// == a conversion.
+func TestCloneCopiesBuiltCSRs(t *testing.T) {
+	sameCSR := func(a, b *sparse.CSR) bool {
+		return a.NumRows == b.NumRows && a.NumCols == b.NumCols && fmt.Sprint(a.RowPtr) == fmt.Sprint(b.RowPtr) &&
+			fmt.Sprint(a.ColIdx) == fmt.Sprint(b.ColIdx) && fmt.Sprint(a.Vals) == fmt.Sprint(b.Vals)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for built := 0; built < 3; built++ {
+		g := testGraph(int64(20+built), 250)
+		switch built {
+		case 0:
+			g.Succ()
+		case 1:
+			g.Pred()
+		}
+		c := g.Clone()
+		if (c.pred != nil) != (g.pred != nil) || (c.succ != nil) != (g.succ != nil) {
+			t.Fatalf("built %d: clone has P %v, S %v; source P %v, S %v",
+				built, c.pred != nil, c.succ != nil, g.pred != nil, g.succ != nil)
+		}
+		want := c.PredCOO().ToCSR()
+		if !sameCSR(c.Pred(), want) || !sameCSR(c.Succ(), want.Transpose()) {
+			t.Fatalf("built %d: cloned CSRs differ from a fresh conversion", built)
+		}
+		srcP, srcS := g.Pred().Clone(), g.Succ().Clone()
+		for k := 0; k < 30; k++ {
+			c.AddObservationPoint(int32(rng.Intn(c.N)))
+		}
+		if !sameCSR(g.Pred(), srcP) || !sameCSR(g.Succ(), srcS) {
+			t.Fatalf("built %d: insertions into the clone changed the source's CSRs", built)
+		}
+		want = c.PredCOO().ToCSR()
+		if !sameCSR(c.Pred(), want) || !sameCSR(c.Succ(), want.Transpose()) {
+			t.Fatalf("built %d: the clone's CSRs differ from a conversion after insertions", built)
+		}
+	}
+}
+
 // TestGradientCheck verifies the full manual backpropagation (wpr, wsu,
 // encoders, FC head) against central-difference numerical gradients.
 func TestGradientCheck(t *testing.T) {

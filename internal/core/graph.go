@@ -194,14 +194,23 @@ func (g *Graph) SuccEntries(v int32) ([]int32, []float64) {
 }
 
 // Clone returns a deep copy of the graph (used by hypothetical-insertion
-// impact evaluation).
+// impact evaluation and by /v1/opi's copy of a cached design). CSRs
+// already built are copied, not converted again on the clone's first
+// use.
 func (g *Graph) Clone() *Graph {
-	return &Graph{
+	c := &Graph{
 		N:       g.N,
 		X:       g.X.Clone(),
 		Labels:  append([]int(nil), g.Labels...),
 		predCOO: g.predCOO.Clone(),
 	}
+	if g.pred != nil {
+		c.pred = g.pred.Clone()
+	}
+	if g.succ != nil {
+		c.succ = g.succ.Clone()
+	}
+	return c
 }
 
 // CountLabels returns (#positive, #negative) over labeled nodes.

@@ -16,6 +16,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/par"
 )
@@ -73,7 +74,22 @@ func ParseGateType(s string) (GateType, error) {
 			return GateType(t), nil
 		}
 	}
-	return 0, fmt.Errorf("netlist: unknown gate type %q", s)
+	return 0, fmt.Errorf("netlist: unknown gate type %s", quote(s))
+}
+
+// maxQuoted is the most bytes of a line, net name or gate type that an
+// error quotes. A text may hold one of any length, and %q spells a
+// control byte in four, so quoting it whole could make an error several
+// times the size of the text.
+const maxQuoted = 256
+
+// quote is s as %q prints it, cut after maxQuoted bytes and marked with
+// "..." if it is longer.
+func quote(s string) string {
+	if len(s) > maxQuoted {
+		return strconv.Quote(s[:maxQuoted]) + "..."
+	}
+	return strconv.Quote(s)
 }
 
 // MinFanin returns the minimum number of fanin nets a cell of this type
@@ -172,22 +188,28 @@ func (n *Netlist) Fanin(id int32) []int32 { return n.gates[id].Fanin }
 // already-added cells, which guarantees the gates slice is already in a
 // valid topological order for acyclic designs built front to back.
 func (n *Netlist) AddGate(t GateType, name string, fanin ...int32) (int32, error) {
+	return n.addGate(t, name, append([]int32(nil), fanin...))
+}
+
+// addGate is AddGate keeping fanin itself rather than a copy; Read
+// carves every cell's fanin from one arena.
+func (n *Netlist) addGate(t GateType, name string, fanin []int32) (int32, error) {
 	if min := t.MinFanin(); len(fanin) < min {
-		return 0, fmt.Errorf("netlist: %s gate %q needs at least %d fanin, got %d", t, name, min, len(fanin))
+		return 0, fmt.Errorf("netlist: %s gate %s needs at least %d fanin, got %d", t, quote(name), min, len(fanin))
 	}
 	if max := t.MaxFanin(); max >= 0 && len(fanin) > max {
-		return 0, fmt.Errorf("netlist: %s gate %q allows at most %d fanin, got %d", t, name, max, len(fanin))
+		return 0, fmt.Errorf("netlist: %s gate %s allows at most %d fanin, got %d", t, quote(name), max, len(fanin))
 	}
 	id := int32(len(n.gates))
 	for _, f := range fanin {
 		if f < 0 || f >= id {
-			return 0, fmt.Errorf("netlist: gate %q fanin %d out of range [0,%d)", name, f, id)
+			return 0, fmt.Errorf("netlist: gate %s fanin %d out of range [0,%d)", quote(name), f, id)
 		}
 		if ft := n.gates[f].Type; ft == Output || ft == Obs {
-			return 0, fmt.Errorf("netlist: gate %q reads %s cell %d, and sink cells drive nothing", name, ft, f)
+			return 0, fmt.Errorf("netlist: gate %s reads %s cell %d, and sink cells drive nothing", quote(name), ft, f)
 		}
 	}
-	n.gates = append(n.gates, Gate{Type: t, Name: name, Fanin: append([]int32(nil), fanin...)})
+	n.gates = append(n.gates, Gate{Type: t, Name: name, Fanin: fanin})
 	n.extendCaches(id)
 	return id, nil
 }
@@ -466,12 +488,18 @@ func (n *Netlist) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the netlist (caches are not copied).
+// Clone returns a deep copy of the netlist (caches are not copied). The
+// copy's fanin lists share one arena, as Read's do.
 func (n *Netlist) Clone() *Netlist {
 	c := &Netlist{Name: n.Name, gates: make([]Gate, len(n.gates))}
+	arena := make([]int32, 0, n.NumEdges())
 	for i := range n.gates {
 		g := n.gates[i]
-		g.Fanin = append([]int32(nil), g.Fanin...)
+		if len(g.Fanin) > 0 {
+			start := len(arena)
+			arena = append(arena, g.Fanin...)
+			g.Fanin = arena[start:len(arena):len(arena)]
+		}
 		c.gates[i] = g
 	}
 	return c

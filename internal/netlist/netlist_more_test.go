@@ -51,8 +51,8 @@ func TestFlipFlopsAccessor(t *testing.T) {
 }
 
 func TestDeepChainParse(t *testing.T) {
-	// A 5000-deep inverter chain exercises the reader's recursive
-	// construction depth.
+	// A 5000-deep inverter chain exercises the reader's construction
+	// depth.
 	var sb strings.Builder
 	sb.WriteString("INPUT(n0)\n")
 	for i := 1; i <= 5000; i++ {

@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +105,43 @@ func TestScoreBodyTooLarge413(t *testing.T) {
 	}
 	if resp.StatusCode != 413 || errCategory(t, resp) != ErrTooLarge {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestScoreReverseChainInBoundedStack posts a 100,000-cell NOT chain
+// whose every cell is declared before its driver, under a 16 MiB stack
+// limit. A parse that recurses once per level overflows that stack and
+// kills the whole process; one that does not answers 200 with the
+// scores of the same chain declared forward. Not parallel: the limit is
+// process-wide.
+func TestScoreReverseChainInBoundedStack(t *testing.T) {
+	old := debug.SetMaxStack(16 << 20)
+	defer debug.SetMaxStack(old)
+	_, ts := newTestServer(t, Options{Predictor: &stubPredictor{}})
+	const cells = 100000
+	lines := []string{"INPUT(n0)"}
+	for i := 1; i <= cells; i++ {
+		lines = append(lines, fmt.Sprintf("n%d = NOT(n%d)", i, i-1))
+	}
+	lines = append(lines, fmt.Sprintf("OUTPUT(n%d)", cells))
+	forward := strings.Join(lines, "\n") + "\n"
+	slices.Reverse(lines[:cells+1])
+	reversed := strings.Join(lines, "\n") + "\n"
+
+	var fwd, rev ScoreResponse
+	if code := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Netlist: forward}, &fwd); code != 200 {
+		t.Fatalf("forward chain: status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Netlist: reversed}, &rev); code != 200 {
+		t.Fatalf("reversed chain: status %d", code)
+	}
+	if rev.Nodes != cells+2 || len(rev.Scores) != len(fwd.Scores) {
+		t.Fatalf("reversed chain: %d nodes, %d scores; forward %d scores", rev.Nodes, len(rev.Scores), len(fwd.Scores))
+	}
+	for v := range fwd.Scores {
+		if rev.Scores[v] != fwd.Scores[v] {
+			t.Fatalf("node %d: reversed chain scores %g, forward %g", v, rev.Scores[v], fwd.Scores[v])
+		}
 	}
 }
 

@@ -155,6 +155,16 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
+// Clone deep-copies the matrix.
+func (m *CSR) Clone() *CSR {
+	return &CSR{
+		NumRows: m.NumRows, NumCols: m.NumCols,
+		RowPtr: append([]int32(nil), m.RowPtr...),
+		ColIdx: append([]int32(nil), m.ColIdx...),
+		Vals:   append([]float64(nil), m.Vals...),
+	}
+}
+
 // dedupScratch is the reused column-stamp scratch for duplicate
 // merging: stamp[c] holds the generation that last saw column c and
 // pos[c] where that entry was written. Bumping gen once per row
