@@ -166,7 +166,7 @@ var ab1 = sync.OnceValue(func() *spmmOperands {
 // at the heart of inference (DESIGN.md decision 2).
 func cooMul(b *testing.B) {
 	w := ab1()
-	coo, dst := w.g.PredCOO(), tensor.NewDense(w.g.N, 32)
+	coo, dst := w.g.Pred().ToCOO(), tensor.NewDense(w.g.N, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

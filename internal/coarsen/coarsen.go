@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 // Coarsening metrics (no-ops until obs.Enable; see
@@ -245,7 +246,17 @@ func (c *Coarsening) ProjectGraph(g *core.Graph) *core.Graph {
 		panic(fmt.Sprintf("coarsen: graph has %d nodes, coarsening covers %d", g.N, len(c.Owner)))
 	}
 	m := len(c.Members)
-	cg := core.NewGraph(m)
+	coo := sparse.NewCOO(m, m)
+	for v := int32(0); v < int32(g.N); v++ {
+		s := c.Owner[v]
+		cols, vals := g.PredEntries(v)
+		for i, f := range cols {
+			if fs := c.Owner[f]; fs != s {
+				coo.Append(s, fs, vals[i])
+			}
+		}
+	}
+	cg := core.NewGraph(coo)
 	for s := 0; s < m; s++ {
 		row := cg.X.Row(s)
 		label := -1
@@ -270,16 +281,6 @@ func (c *Coarsening) ProjectGraph(g *core.Graph) *core.Graph {
 			}
 		}
 		cg.Labels[s] = label
-	}
-	coo := cg.PredCOO()
-	for v := int32(0); v < int32(g.N); v++ {
-		s := c.Owner[v]
-		cols, vals := g.PredEntries(v)
-		for i, f := range cols {
-			if fs := c.Owner[f]; fs != s {
-				coo.Append(s, fs, vals[i])
-			}
-		}
 	}
 	return cg
 }

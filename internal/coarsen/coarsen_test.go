@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/scoap"
+	"repro/internal/sparse"
 )
 
 func testNetlist(t *testing.T, seed int64, gates int) *netlist.Netlist {
@@ -254,7 +255,7 @@ func TestLiftShapes(t *testing.T) {
 	}
 	mustPanic(t, "short dst", func() { c.LiftInto(make([]float64, 1), coarse) })
 	mustPanic(t, "short src", func() { c.LiftInto(make([]float64, c.NumFine()), coarse[:1]) })
-	mustPanic(t, "graph size mismatch", func() { c.ProjectGraph(core.NewGraph(3)) })
+	mustPanic(t, "graph size mismatch", func() { c.ProjectGraph(core.NewGraph(sparse.NewCOO(3, 3))) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -58,8 +58,8 @@ func TestGraphFromNetlist(t *testing.T) {
 	n.MustAddGate(netlist.Output, "po", x)
 	m := scoap.Compute(n)
 	g := FromNetlist(n, m)
-	if g.N != 4 || g.NumEdges() != 3 {
-		t.Fatalf("N=%d edges=%d", g.N, g.NumEdges())
+	if g.N != 4 || g.Pred().NNZ() != 3 {
+		t.Fatalf("N=%d edges=%d", g.N, g.Pred().NNZ())
 	}
 	// Predecessors of x are a and b; successors of a is x.
 	pl := g.PredList(x)
@@ -78,11 +78,11 @@ func TestGraphFromNetlist(t *testing.T) {
 
 func TestAddObservationPointIncrementalGraph(t *testing.T) {
 	g := testGraph(1, 300)
-	n0, e0 := g.N, g.NumEdges()
+	n0, e0 := g.N, g.Pred().NNZ()
 	target := int32(n0 / 2)
 	p := g.AddObservationPoint(target)
-	if g.N != n0+1 || g.NumEdges() != e0+1 {
-		t.Fatalf("after insertion N=%d edges=%d", g.N, g.NumEdges())
+	if g.N != n0+1 || g.Pred().NNZ() != e0+1 {
+		t.Fatalf("after insertion N=%d edges=%d", g.N, g.Pred().NNZ())
 	}
 	if int(p) != n0 {
 		t.Errorf("new node id = %d, want %d", p, n0)
@@ -109,85 +109,85 @@ func TestAddObservationPointIncrementalGraph(t *testing.T) {
 	}
 }
 
-// TestInPlaceCSRMatchesConversion inserts random observation points into
-// graphs whose CSRs are built (both, only P, or neither, with duplicate
-// fanin in the designs) and checks after every insertion that Pred() and
-// Succ() are == a fresh ToCSR() of the COO and its Transpose(): RowPtr,
-// ColIdx and Vals.
-func TestInPlaceCSRMatchesConversion(t *testing.T) {
+// mirroredGraph builds a circuit graph with NewGraph over a test-side
+// COO mirror of its tuples: one per fanin pin, plus one extra gate that
+// reads node 3 on two pins (a weight-2 entry). The mirror is returned so
+// that insertions can append the same tuples to it.
+func mirroredGraph(seed int64, gates int) (*Graph, *sparse.COO) {
+	n := circuitgen.Generate("t", circuitgen.Config{Seed: seed, NumGates: gates})
+	nodes := n.NumGates() + 1
+	mirror := sparse.NewCOO(nodes, nodes)
+	for id := int32(0); id < int32(n.NumGates()); id++ {
+		for _, f := range n.Fanin(id) {
+			mirror.Append(id, f, 1)
+		}
+	}
+	mirror.Append(int32(nodes-1), 3, 1)
+	mirror.Append(int32(nodes-1), 3, 1)
+	return NewGraph(mirror), mirror
+}
+
+// observeMirrored adds an observation point on target to g and the same
+// tuple to its mirror.
+func observeMirrored(g *Graph, mirror *sparse.COO, target int32) {
+	p := g.AddObservationPoint(target)
+	mirror.Grow(g.N, g.N)
+	mirror.Append(p, target, 1)
+}
+
+// matchesMirror reports whether g's Pred() and Succ() are == a fresh
+// ToCSR() of mirror and its Transpose(): RowPtr, ColIdx and Vals.
+func matchesMirror(g *Graph, mirror *sparse.COO) bool {
 	same := func(a, b *sparse.CSR) bool {
 		return a.NumRows == b.NumRows && a.NumCols == b.NumCols && fmt.Sprint(a.RowPtr) == fmt.Sprint(b.RowPtr) &&
 			fmt.Sprint(a.ColIdx) == fmt.Sprint(b.ColIdx) && fmt.Sprint(a.Vals) == fmt.Sprint(b.Vals)
 	}
+	want := mirror.ToCSR()
+	return same(g.Pred(), want) && same(g.Succ(), want.Transpose())
+}
+
+// TestInPlaceCSRMatchesConversion inserts random observation points into
+// circuit graphs with a duplicate fanin and checks, on the built graph
+// and after every insertion, that its CSRs match a COO mirror that
+// received the same tuples.
+func TestInPlaceCSRMatchesConversion(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for built := 0; built < 3; built++ {
-		g := testGraph(int64(10+built), 250)
-		// A gate that reads one driver on two pins gives a weight-2 entry.
-		dup := g.PredCOO()
-		g.N++
-		dup.Grow(g.N, g.N)
-		dup.Append(int32(g.N-1), 3, 1)
-		dup.Append(int32(g.N-1), 3, 1)
-		g.X = growRows(g.X, g.N)
-		g.Labels = append(g.Labels, 0)
-		switch built {
-		case 0:
-			g.Succ()
-		case 1:
-			g.Pred()
+	for seed := int64(10); seed < 13; seed++ {
+		g, mirror := mirroredGraph(seed, 250)
+		if cols, vals := g.PredEntries(int32(g.N - 1)); len(cols) != 1 || cols[0] != 3 || vals[0] != 2 {
+			t.Fatalf("seed %d: the two-pin gate's row is %v %v, want [3] [2]", seed, cols, vals)
+		}
+		if !matchesMirror(g, mirror) {
+			t.Fatalf("seed %d: NewGraph's CSRs differ from a conversion of its tuples", seed)
 		}
 		for k := 0; k < 60; k++ {
-			g.AddObservationPoint(int32(rng.Intn(g.N)))
-			if k%7 == 0 || built == 0 {
-				want := g.PredCOO().ToCSR()
-				if !same(g.Pred(), want) || !same(g.Succ(), want.Transpose()) {
-					t.Fatalf("built %d, insertion %d: in-place CSRs differ from a fresh conversion", built, k)
-				}
+			observeMirrored(g, mirror, int32(rng.Intn(g.N)))
+			if !matchesMirror(g, mirror) {
+				t.Fatalf("seed %d, insertion %d: in-place CSRs differ from a fresh conversion", seed, k)
 			}
 		}
 	}
 }
 
-// TestCloneCopiesBuiltCSRs clones graphs with both CSRs built, only P,
-// or neither, and checks that the clone holds what the source had built
-// (converting nothing on its first use), that its Pred() and Succ() are
-// == a fresh conversion of its COO, and that observation points added to
-// the clone leave the source's CSRs as they were while the clone's stay
-// == a conversion.
+// TestCloneCopiesBuiltCSRs checks that a clone's CSRs match the source's
+// tuples, and that observation points added to the clone leave the
+// source's CSRs as they were while the clone's keep matching its own
+// mirror.
 func TestCloneCopiesBuiltCSRs(t *testing.T) {
-	sameCSR := func(a, b *sparse.CSR) bool {
-		return a.NumRows == b.NumRows && a.NumCols == b.NumCols && fmt.Sprint(a.RowPtr) == fmt.Sprint(b.RowPtr) &&
-			fmt.Sprint(a.ColIdx) == fmt.Sprint(b.ColIdx) && fmt.Sprint(a.Vals) == fmt.Sprint(b.Vals)
-	}
 	rng := rand.New(rand.NewSource(5))
-	for built := 0; built < 3; built++ {
-		g := testGraph(int64(20+built), 250)
-		switch built {
-		case 0:
-			g.Succ()
-		case 1:
-			g.Pred()
-		}
-		c := g.Clone()
-		if (c.pred != nil) != (g.pred != nil) || (c.succ != nil) != (g.succ != nil) {
-			t.Fatalf("built %d: clone has P %v, S %v; source P %v, S %v",
-				built, c.pred != nil, c.succ != nil, g.pred != nil, g.succ != nil)
-		}
-		want := c.PredCOO().ToCSR()
-		if !sameCSR(c.Pred(), want) || !sameCSR(c.Succ(), want.Transpose()) {
-			t.Fatalf("built %d: cloned CSRs differ from a fresh conversion", built)
-		}
-		srcP, srcS := g.Pred().Clone(), g.Succ().Clone()
-		for k := 0; k < 30; k++ {
-			c.AddObservationPoint(int32(rng.Intn(c.N)))
-		}
-		if !sameCSR(g.Pred(), srcP) || !sameCSR(g.Succ(), srcS) {
-			t.Fatalf("built %d: insertions into the clone changed the source's CSRs", built)
-		}
-		want = c.PredCOO().ToCSR()
-		if !sameCSR(c.Pred(), want) || !sameCSR(c.Succ(), want.Transpose()) {
-			t.Fatalf("built %d: the clone's CSRs differ from a conversion after insertions", built)
-		}
+	g, mirror := mirroredGraph(20, 250)
+	c, cmirror := g.Clone(), mirror.Clone()
+	if !matchesMirror(c, cmirror) {
+		t.Fatal("cloned CSRs differ from a conversion of the source's tuples")
+	}
+	for k := 0; k < 30; k++ {
+		observeMirrored(c, cmirror, int32(rng.Intn(c.N)))
+	}
+	if !matchesMirror(g, mirror) {
+		t.Fatal("insertions into the clone changed the source's CSRs")
+	}
+	if !matchesMirror(c, cmirror) {
+		t.Fatal("the clone's CSRs differ from a conversion after insertions")
 	}
 }
 

@@ -5,8 +5,8 @@
 // The package contains
 //
 //   - the GCN-ready graph representation (node attribute matrix plus the
-//     predecessor/successor adjacency in incremental COO and fast CSR
-//     forms),
+//     predecessor/successor adjacency in CSR form, built from COO tuples
+//     and updated in place by observation-point insertion),
 //   - the GCN model itself: weighted-sum aggregators with learnable
 //     predecessor/successor weights (Equation 1), encoder layers, and a
 //     fully connected classifier head,
@@ -41,9 +41,8 @@ const COClamp = 1 << 20
 
 // Graph is a netlist prepared for GCN processing: a node attribute matrix
 // X (N×4) and the directed adjacency split into a predecessor matrix P
-// (P[v][u] = 1 iff edge u→v) kept in COO form for O(1) incremental
-// updates. The successor matrix S is exactly Pᵀ. CSR forms of both are
-// built lazily on first use; after that, AddObservationPoint updates
+// (P[v][u] = 1 iff edge u→v) and the successor matrix S = Pᵀ, both in
+// CSR form and both built with the graph. AddObservationPoint updates
 // them in place. Slices obtained from them (PredList, SuccList and the
 // Entries forms) are valid only until the next mutation.
 type Graph struct {
@@ -51,18 +50,25 @@ type Graph struct {
 	X      *tensor.Dense // N×InputDim transformed attributes
 	Labels []int         // per node: 1 difficult-to-observe, 0 easy, -1 unknown
 
-	predCOO *sparse.COO
-	pred    *sparse.CSR // P, nil until first use
-	succ    *sparse.CSR // S = Pᵀ, nil until first use
+	pred *sparse.CSR // P
+	succ *sparse.CSR // S = Pᵀ
 }
 
-// NewGraph creates an empty graph with capacity for n nodes.
-func NewGraph(n int) *Graph {
+// NewGraph builds a graph over the square predecessor tuples pred
+// (row v, column u for each edge u→v; duplicates sum), with N =
+// pred.NumRows and X and Labels zeroed. P is ToCSR of the tuples and S
+// its Transpose, so each row keeps the order of its first tuples.
+func NewGraph(pred *sparse.COO) *Graph {
+	if pred.NumRows != pred.NumCols {
+		panic(fmt.Sprintf("core: adjacency is %d×%d, not square", pred.NumRows, pred.NumCols))
+	}
+	p := pred.ToCSR()
 	return &Graph{
-		N:       n,
-		X:       tensor.NewDense(n, InputDim),
-		Labels:  make([]int, n),
-		predCOO: sparse.NewCOO(n, n),
+		N:      pred.NumRows,
+		X:      tensor.NewDense(pred.NumRows, InputDim),
+		Labels: make([]int, pred.NumRows),
+		pred:   p,
+		succ:   p.Transpose(),
 	}
 }
 
@@ -82,74 +88,53 @@ func AttributeVector(ll, c0, c1, co float64) [4]float64 {
 // FromNetlist builds the GCN graph for a netlist with precomputed SCOAP
 // measures. Labels are initialized to -1 (unknown).
 func FromNetlist(n *netlist.Netlist, m *scoap.Measures) *Graph {
-	g := NewGraph(n.NumGates())
+	pred := sparse.NewCOO(n.NumGates(), n.NumGates())
+	for id := int32(0); id < int32(pred.NumRows); id++ {
+		for _, f := range n.Fanin(id) {
+			pred.Append(id, f, 1)
+		}
+	}
+	g := NewGraph(pred)
 	attrs := m.Attributes(n, COClamp)
 	for id := 0; id < g.N; id++ {
 		a := AttributeVector(attrs[id][0], attrs[id][1], attrs[id][2], attrs[id][3])
 		copy(g.X.Row(id), a[:])
 		g.Labels[id] = -1
 	}
-	for id := int32(0); id < int32(g.N); id++ {
-		for _, f := range n.Fanin(id) {
-			g.predCOO.Append(id, f, 1)
-		}
-	}
 	return g
 }
 
-// Pred returns the predecessor adjacency in CSR form, converting the COO
-// on first use. Mutations update the returned matrix in place.
-func (g *Graph) Pred() *sparse.CSR {
-	if g.pred == nil {
-		g.pred = g.predCOO.ToCSR()
-	}
-	return g.pred
-}
+// Pred returns the predecessor adjacency P. Mutations update it in
+// place.
+func (g *Graph) Pred() *sparse.CSR { return g.pred }
 
-// Succ returns the successor adjacency S = Pᵀ in CSR form, transposing
-// P on first use. Mutations update the returned matrix in place.
-func (g *Graph) Succ() *sparse.CSR {
-	if g.succ == nil {
-		g.succ = g.Pred().Transpose()
-	}
-	return g.succ
-}
-
-// PredCOO exposes the underlying COO matrix (read-only use).
-func (g *Graph) PredCOO() *sparse.COO { return g.predCOO }
-
-// NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int { return g.predCOO.NNZ() }
+// Succ returns the successor adjacency S = Pᵀ. Mutations update it in
+// place.
+func (g *Graph) Succ() *sparse.CSR { return g.succ }
 
 // AddObservationPoint grows the graph by one node p attached to target
-// (edge target→p), mirroring Section 4: the COO adjacency receives one
-// appended tuple and the new node gets the paper's fixed initial
-// attribute [0,1,1,0] (before transform). It returns the new node index.
-// Attribute refreshes for the fan-in cone are the caller's job (see
-// SetAttributes), because they require SCOAP recomputation.
+// (edge target→p), mirroring Section 4, and gives the new node the
+// paper's fixed initial attribute [0,1,1,0] (before transform). It
+// returns the new node index. Attribute refreshes for the fan-in cone
+// are the caller's job (see SetAttributes), because they require SCOAP
+// recomputation.
 //
-// CSRs already built are updated in place to what converting again
-// would give: P gains the row [target] at its end, and S = Pᵀ gains the
-// entry p at the end of row target (p exceeds every node already there,
-// so the transpose's column order holds) plus an empty row p. The edit
-// therefore costs one append to P and one tail shift in S, not two
-// whole-graph conversions.
+// The CSRs are updated in place to exactly what NewGraph would build
+// from the graph's tuples with (p, target) appended: P gains the row
+// [target] at its end, and S = Pᵀ gains the entry p at the end of row
+// target (p exceeds every node already there, so the transpose's column
+// order holds) plus an empty row p. The edit therefore costs one append
+// to P and one tail shift in S, not two whole-graph conversions.
 func (g *Graph) AddObservationPoint(target int32) int32 {
 	if target < 0 || int(target) >= g.N {
 		panic(fmt.Sprintf("core: observation target %d out of range", target))
 	}
 	p := int32(g.N)
 	g.N++
-	g.predCOO.Grow(g.N, g.N)
-	g.predCOO.Append(p, target, 1)
-	if g.pred != nil {
-		g.pred.Grow(g.N, g.N)
-		g.pred.AppendToRow(p, target, 1)
-	}
-	if g.succ != nil {
-		g.succ.Grow(g.N, g.N)
-		g.succ.AppendToRow(target, p, 1)
-	}
+	g.pred.Grow(g.N, g.N)
+	g.pred.AppendToRow(p, target, 1)
+	g.succ.Grow(g.N, g.N)
+	g.succ.AppendToRow(target, p, 1)
 
 	g.X = growRows(g.X, g.N)
 	a := AttributeVector(0, 1, 1, 0)
@@ -194,23 +179,15 @@ func (g *Graph) SuccEntries(v int32) ([]int32, []float64) {
 }
 
 // Clone returns a deep copy of the graph (used by hypothetical-insertion
-// impact evaluation and by /v1/opi's copy of a cached design). CSRs
-// already built are copied, not converted again on the clone's first
-// use.
+// impact evaluation and by /v1/opi's copy of a cached design).
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		N:       g.N,
-		X:       g.X.Clone(),
-		Labels:  append([]int(nil), g.Labels...),
-		predCOO: g.predCOO.Clone(),
+	return &Graph{
+		N:      g.N,
+		X:      g.X.Clone(),
+		Labels: append([]int(nil), g.Labels...),
+		pred:   g.pred.Clone(),
+		succ:   g.succ.Clone(),
 	}
-	if g.pred != nil {
-		c.pred = g.pred.Clone()
-	}
-	if g.succ != nil {
-		c.succ = g.succ.Clone()
-	}
-	return c
 }
 
 // CountLabels returns (#positive, #negative) over labeled nodes.

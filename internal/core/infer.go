@@ -108,10 +108,8 @@ const tileRows = 128
 //
 // Tiles only read E_d, the adjacency and the weights, and each writes
 // its own rows of E_{d+1} and of the logits or the probabilities, so the
-// workers share nothing else. g.Pred() and g.Succ() are resolved on the
-// caller before the first round, since their lazy rebuild is not safe for
-// concurrent first use. Passes and tile sets live on free lists per
-// precision, so a pass allocates nothing of its own.
+// workers share nothing else. Passes and tile sets live on free lists
+// per precision, so a pass allocates nothing of its own.
 type pass[T tensor.Float] struct {
 	w    *weights[T]
 	P, S *sparse.CSR

@@ -37,10 +37,10 @@ func TestQuickGraphMutationInvariants(t *testing.T) {
 	f := func(seed int64, rawTarget uint16) bool {
 		g := testGraph(seed%1000, 100)
 		target := int32(int(rawTarget) % g.N)
-		n0, e0 := g.N, g.NumEdges()
+		n0, e0 := g.N, g.Pred().NNZ()
 		before := g.X.Clone()
 		p := g.AddObservationPoint(target)
-		if g.N != n0+1 || g.NumEdges() != e0+1 || int(p) != n0 {
+		if g.N != n0+1 || g.Pred().NNZ() != e0+1 || int(p) != n0 {
 			return false
 		}
 		for v := 0; v < n0; v++ {

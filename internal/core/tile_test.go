@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -14,14 +15,18 @@ import (
 // sit exactly on the inference tile edges.
 func randomGraph(seed int64, n int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph(n)
+	attrs := make([][4]float64, n)
+	pred := sparse.NewCOO(n, n)
 	for v := 0; v < n; v++ {
-		a := AttributeVector(float64(rng.Intn(40)), float64(1+rng.Intn(20)),
+		attrs[v] = AttributeVector(float64(rng.Intn(40)), float64(1+rng.Intn(20)),
 			float64(1+rng.Intn(20)), float64(rng.Intn(200)))
-		copy(g.X.Row(v), a[:])
 		for k := rng.Intn(4); k > 0; k-- {
-			g.predCOO.Append(int32(v), int32(rng.Intn(n)), 1)
+			pred.Append(int32(v), int32(rng.Intn(n)), 1)
 		}
+	}
+	g := NewGraph(pred)
+	for v, a := range attrs {
+		copy(g.X.Row(v), a[:])
 	}
 	return g
 }

@@ -80,8 +80,8 @@ func Fig10(cfg Config) Fig10Result {
 		m := scoap.Compute(n)
 		g := core.FromNetlist(n, m)
 
-		// Warm the lazily built CSR forms, then take the best of three
-		// matrix passes to suppress allocator noise.
+		// Warm up once, then take the best of three matrix passes to
+		// suppress allocator noise.
 		model.Forward(g)
 		matrixSec := 1e18
 		for rep := 0; rep < 3; rep++ {

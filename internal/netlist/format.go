@@ -37,21 +37,27 @@ func Write(w io.Writer, n *Netlist) error {
 			fmt.Fprintf(bw, "INPUT(%s)\n", name[i])
 		}
 	}
+	// Read numbers sink lines after every declared cell, so sinks follow
+	// the logic here too, or a sink declared among the logic would move
+	// on the next read.
 	for i := 0; i < n.NumGates(); i++ {
 		g := &n.gates[i]
 		switch g.Type {
-		case Input:
-			// already written
-		case Output:
-			fmt.Fprintf(bw, "OUTPUT(%s)\n", name[g.Fanin[0]])
-		case Obs:
-			fmt.Fprintf(bw, "OBS(%s)\n", name[g.Fanin[0]])
+		case Input, Output, Obs:
 		default:
 			args := make([]string, len(g.Fanin))
 			for j, f := range g.Fanin {
 				args[j] = name[f]
 			}
 			fmt.Fprintf(bw, "%s = %s(%s)\n", name[i], g.Type, strings.Join(args, ", "))
+		}
+	}
+	for i := 0; i < n.NumGates(); i++ {
+		switch g := &n.gates[i]; g.Type {
+		case Output:
+			fmt.Fprintf(bw, "OUTPUT(%s)\n", name[g.Fanin[0]])
+		case Obs:
+			fmt.Fprintf(bw, "OBS(%s)\n", name[g.Fanin[0]])
 		}
 	}
 	return bw.Flush()

@@ -60,10 +60,10 @@ func ExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
 func selectByExactImpact(n *netlist.Netlist, meas *scoap.Measures, g *core.Graph,
 	pred core.IncrementalPredictor, probs []float64, nodes []int32, cfg FlowConfig) []int32 {
 
-	cones := positiveCones(n, nodes, cfg.ConeLimit)
+	cones := positiveCones(n, nodes)
 	impact := make([]int, len(nodes))
 	for i, v := range nodes {
-		impact[i] = ExactImpact(n, meas, g, pred, probs, cfg.Threshold, v, cfg.ConeLimit)
+		impact[i] = ExactImpact(n, meas, g, pred, probs, cfg.Threshold, v, coneLimit)
 	}
 	return pickCovering(n, nodes, impact, cones, cfg.PerIteration)
 }

@@ -7,9 +7,9 @@
 // the number of positive predictions inside its fan-in cone that one
 // observation point at that node would cover (Figure 6) — the top-ranked
 // locations receive observation points, the graph and SCOAP attributes
-// are updated incrementally (COO tuple appends, in-place CSR updates and
-// the attribute rows whose observability fell), and inference repeats
-// until no positive predictions remain.
+// are updated incrementally (in-place CSR updates and the attribute rows
+// whose observability fell), and inference repeats until no positive
+// predictions remain.
 //
 // The baseline models a conventional testability-analysis tool:
 // SCOAP-observability-greedy insertion that repeatedly observes the
@@ -42,6 +42,9 @@ var (
 	opiFullInfer   = obs.GetCounter("opi.full_inferences")
 )
 
+// coneLimit caps the BFS fan-in cone used for impact scoring.
+const coneLimit = 500
+
 // FlowConfig controls the iterative GCN insertion flow.
 type FlowConfig struct {
 	// Threshold is the positive-prediction cutoff; default 0.5.
@@ -49,9 +52,6 @@ type FlowConfig struct {
 	// PerIteration caps insertions per iteration (the paper's "top
 	// ranked locations"); default 64.
 	PerIteration int
-	// ConeLimit caps the BFS fan-in cone used for impact scoring;
-	// default 500. 0 means unbounded.
-	ConeLimit int
 	// MaxIterations bounds the outer loop; default 64.
 	MaxIterations int
 	// MaxInsertions bounds the total number of observation points;
@@ -72,11 +72,6 @@ func (c FlowConfig) withDefaults() FlowConfig {
 	}
 	if c.PerIteration <= 0 {
 		c.PerIteration = 64
-	}
-	if c.ConeLimit < 0 {
-		c.ConeLimit = 0
-	} else if c.ConeLimit == 0 {
-		c.ConeLimit = 500
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 64
@@ -211,7 +206,7 @@ func runFlow(span *obs.Span, n *netlist.Netlist, meas *scoap.Measures, g *core.G
 // the lazy caches, so concurrent traversals are safe). Each cone depends
 // only on its node, so the ranking does not depend on the worker count.
 func selectByImpact(n *netlist.Netlist, nodes []int32, positives []bool, cfg FlowConfig) []int32 {
-	cones := positiveCones(n, nodes, cfg.ConeLimit)
+	cones := positiveCones(n, nodes)
 	impact := make([]int, len(nodes))
 	for i, cone := range cones {
 		impact[i] = 1
@@ -224,10 +219,10 @@ func selectByImpact(n *netlist.Netlist, nodes []int32, positives []bool, cfg Flo
 	return pickCovering(n, nodes, impact, cones, cfg.PerIteration)
 }
 
-// positiveCones returns the fan-in cone of each of nodes, extracted in
-// parallel.
-func positiveCones(n *netlist.Netlist, nodes []int32, limit int) [][]int32 {
-	cones := &coneJob{n: n, nodes: nodes, limit: limit, cones: make([][]int32, len(nodes))}
+// positiveCones returns the fan-in cone of each of nodes, cut at
+// coneLimit cells, extracted in parallel.
+func positiveCones(n *netlist.Netlist, nodes []int32) [][]int32 {
+	cones := &coneJob{n: n, nodes: nodes, cones: make([][]int32, len(nodes))}
 	par.For(0, len(nodes), cones)
 	return cones.cones
 }
@@ -269,18 +264,17 @@ func pickCovering(n *netlist.Netlist, nodes []int32, impact []int, cones [][]int
 type coneJob struct {
 	n     *netlist.Netlist
 	nodes []int32
-	limit int
 	cones [][]int32
 }
 
-func (j *coneJob) Do(i int) { j.cones[i] = j.n.FaninCone(j.nodes[i], j.limit) }
+func (j *coneJob) Do(i int) { j.cones[i] = j.n.FaninCone(j.nodes[i], coneLimit) }
 
 // InsertAndRefresh performs one observation point insertion with all
 // incremental updates: netlist node+edge, the SCOAP relaxation of the
-// cells whose observability falls, the COO tuple and in-place CSR
-// updates, and attribute rows of affected nodes. lv holds the logic
-// levels of at least the pre-existing nodes (n.Levels(), which an OP
-// leaves unchanged). No step walks the target's fan-in cone or rebuilds
+// cells whose observability falls, the in-place CSR updates, and
+// attribute rows of affected nodes. lv holds the logic levels of at
+// least the pre-existing nodes (n.Levels(), which an OP leaves
+// unchanged). No step walks the target's fan-in cone or rebuilds
 // a whole-design structure.
 // It returns the new OP node and the nodes whose attribute rows actually
 // changed — the dirty set for cached-embedding inference (the slice to

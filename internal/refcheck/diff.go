@@ -5,10 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/circuitgen"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/netlist"
-	"repro/internal/scoap"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
@@ -206,11 +204,15 @@ func CheckSparseOps(coo *sparse.COO, cols int, rng *rand.Rand) error {
 	return nil
 }
 
-// CheckNetlistMatmul builds the GCN adjacency of a netlist (the COO
-// matrix production inference multiplies every step) and validates all
-// sparse kernels over it via CheckSparseOps.
+// CheckNetlistMatmul builds the GCN adjacency of a netlist (the matrix P
+// production inference multiplies every step), one tuple per fanin pin,
+// and validates all sparse kernels over it via CheckSparseOps.
 func CheckNetlistMatmul(n *netlist.Netlist, seed int64) error {
-	g := core.FromNetlist(n, scoap.Compute(n))
-	rng := rand.New(rand.NewSource(seed))
-	return CheckSparseOps(g.PredCOO(), 3, rng)
+	coo := sparse.NewCOO(n.NumGates(), n.NumGates())
+	for id := int32(0); id < int32(n.NumGates()); id++ {
+		for _, f := range n.Fanin(id) {
+			coo.Append(id, f, 1)
+		}
+	}
+	return CheckSparseOps(coo, 3, rand.New(rand.NewSource(seed)))
 }

@@ -24,7 +24,7 @@ import (
 // RefForward returns the oracle's per-layer embeddings E_0 … E_D and its
 // logits for m over g.
 func RefForward(m *core.Model, g *core.Graph) ([]*tensor.Dense, *tensor.Dense) {
-	P := g.PredCOO()
+	P := g.Pred().ToCOO()
 	S := &sparse.COO{NumRows: P.NumCols, NumCols: P.NumRows, Rows: P.Cols, Cols: P.Rows, Vals: P.Vals}
 	wpr, wsu := m.Wpr.Data[0], m.Wsu.Data[0]
 	cur := g.X.Clone()

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/circuitgen"
 	"repro/internal/core"
+	"repro/internal/netlist"
 	"repro/internal/refcheck"
 )
 
@@ -59,6 +62,46 @@ func TestFloat32ScoringFlow(t *testing.T) {
 		if d32.Scores[v] != d64.Scores[v] {
 			t.Errorf("node %d: post-delta f32-server score %g != f64-server %g", v, d32.Scores[v], d64.Scores[v])
 		}
+	}
+}
+
+// TestFloat32SecondDeltaAllocatesLikeFloat64 chains two deltas on a
+// ~2,000-gate design, on a Float32Scoring server and on a float64 one.
+// The float32 design opens its session on its first delta, and its
+// second delta may allocate at most twice what the float64 server's
+// does: a session sized to the edited graph exactly would copy every
+// embedding matrix to grow on the second delta.
+func TestFloat32SecondDeltaAllocatesLikeFloat64(t *testing.T) {
+	n := circuitgen.Generate("grow", circuitgen.Config{Seed: 61, NumGates: 2000})
+	text := benchText(t, n)
+	var targets []int32
+	for id := int32(0); len(targets) < 2; id++ {
+		if k := n.Gate(id).Type; k != netlist.Input && k != netlist.Output && k != netlist.Obs {
+			targets = append(targets, id)
+		}
+	}
+	base := core.MustNewModel(core.DefaultConfig())
+	secondDelta := func(opts Options) uint64 {
+		_, ts := newTestServer(t, opts)
+		var resp ScoreResponse
+		if code := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Netlist: text}, &resp); code != 200 {
+			t.Fatalf("score status %d", code)
+		}
+		if code := postJSON(t, ts.URL+"/v1/score/delta", DeltaRequest{Design: resp.Design, Observe: targets[:1]}, &resp); code != 200 {
+			t.Fatalf("first delta status %d", code)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if code := postJSON(t, ts.URL+"/v1/score/delta", DeltaRequest{Design: resp.Design, Observe: targets[1:]}, &resp); code != 200 {
+			t.Fatalf("second delta status %d", code)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	f64 := secondDelta(Options{Predictor: base})
+	f32 := secondDelta(Options{Predictor: base, Float32Scoring: true})
+	if f32 > 2*f64 {
+		t.Errorf("second delta allocated %d B on the float32 server, more than twice the float64 server's %d B", f32, f64)
 	}
 }
 

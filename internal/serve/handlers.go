@@ -314,10 +314,19 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if d.run == nil {
+		// A float32-compiled design opens its float64 session before the
+		// edits, so that the first update grows it with headroom, as on a
+		// float64 design, and the next delta does not copy it to grow.
+		ph = tr.StartPhase("forward")
+		d.ensureRun(s.opts.Predictor)
+		ph.End()
+	}
+
 	// The exact insertion recipe of the opi flow: netlist node + edge,
-	// SCOAP relaxation of the cells whose observability falls, COO append
-	// and in-place CSR update, attribute refresh — then one incremental
-	// update over the combined dirty set. The netlist keeps its levels
+	// SCOAP relaxation of the cells whose observability falls, in-place
+	// CSR update, attribute refresh — then one incremental update over
+	// the combined dirty set. The netlist keeps its levels
 	// current per insertion, so n.Levels() is a lookup.
 	var dirty []int32
 	ph = tr.StartPhase("apply")
@@ -334,8 +343,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	ph.End()
 	ph = tr.StartPhase("forward")
-	d.ensureRun(s.opts.Predictor) // f32-compiled designs build the f64 session here
-	d.run.Update(d.g, dirty)      // appended OP nodes are implicitly dirty
+	d.run.Update(d.g, dirty) // appended OP nodes are implicitly dirty
 	ph.End()
 
 	newID := deltaID(req.Design, targets)

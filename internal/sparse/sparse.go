@@ -1,9 +1,9 @@
 // Package sparse implements the sparse matrix machinery at the heart of
 // the paper's "high performance" inference scheme (Section 3.4.1): the
-// netlist adjacency is stored in coordinate (COO) format — a list of
-// (value, row, col) tuples that supports the O(1) incremental appends the
-// iterative insertion flow needs — and converted to compressed sparse row
-// (CSR) for fast sparse×dense products (SpMM).
+// netlist adjacency is built from coordinate (COO) tuples — (value, row,
+// col) triples — and kept in compressed sparse row (CSR) form for fast
+// sparse×dense products (SpMM), which Grow and AppendToRow update in
+// place when the iterative insertion flow adds a node.
 //
 // Both formats multiply against dense matrices; CSR additionally offers
 // an explicit transpose (backpropagation multiplies by Pᵀ = S) and a
@@ -45,9 +45,8 @@ func NewCOO(r, c int) *COO {
 	return &COO{NumRows: r, NumCols: c}
 }
 
-// Append adds one (value, row, col) tuple. This is the incremental
-// construction primitive the paper's flow relies on when observation
-// points modify the graph.
+// Append adds one (value, row, col) tuple, the primitive a graph's
+// adjacency is built from.
 func (m *COO) Append(row, col int32, v float64) {
 	if row < 0 || int(row) >= m.NumRows || col < 0 || int(col) >= m.NumCols {
 		panic(fmt.Sprintf("sparse: Append(%d,%d) outside the current %d×%d bounds (note: Grow never shrinks)",
@@ -58,8 +57,8 @@ func (m *COO) Append(row, col int32, v float64) {
 	m.Vals = append(m.Vals, v)
 }
 
-// Grow enlarges the logical dimensions (never shrinks); used when new
-// graph nodes are appended by observation point insertion. Negative
+// Grow enlarges the logical dimensions (never shrinks), so tuples of new
+// nodes can follow, as observation-point insertion adds them. Negative
 // arguments are rejected loudly — they are always a caller bug, and
 // silently ignoring them used to surface later as a confusing Append
 // panic against the unchanged bounds.
@@ -89,8 +88,8 @@ func (m *COO) Clone() *COO {
 }
 
 // MulDense computes dst = m·x by scattering tuples; dst must be
-// NumRows×x.Cols. COO multiplication requires no conversion, which is
-// what makes the incremental flow cheap between insertions.
+// NumRows×x.Cols. It needs no conversion; the tests and the COO/CSR
+// ablation compare the CSR kernels against it.
 func (m *COO) MulDense(dst, x *tensor.Dense) {
 	if x.Rows != m.NumCols || dst.Rows != m.NumRows || dst.Cols != x.Cols {
 		panic("sparse: COO MulDense shape mismatch")
@@ -472,6 +471,19 @@ func (m *CSR) Transpose() *CSR {
 	copy(rowPtr[1:], rowPtr[:m.NumCols])
 	rowPtr[0] = 0
 	return dst
+}
+
+// ToCOO lists the entries as COO tuples, row by row in stored order, so
+// ToCSR of the result is m again.
+func (m *CSR) ToCOO() *COO {
+	rows := make([]int32, len(m.Vals))
+	for r := 0; r < m.NumRows; r++ {
+		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+			rows[p] = int32(r)
+		}
+	}
+	return &COO{NumRows: m.NumRows, NumCols: m.NumCols, Rows: rows,
+		Cols: append([]int32(nil), m.ColIdx...), Vals: append([]float64(nil), m.Vals...)}
 }
 
 // ToDense materializes the matrix; intended for tests and tiny examples.

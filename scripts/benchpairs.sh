@@ -18,9 +18,13 @@
 # change was better in the metric's `better` direction, and a verdict:
 # "better" or "worse" when at least nine in ten pairs agree and the
 # medians differ by more than the parent's interquartile range, else
-# "unresolved". Then each side's attempted, failed and incorrect counts.
-# It exits non-zero if any run answered incorrectly. Progress and every
-# raw result line go to standard error.
+# "unresolved". The last column is the no-regression check a change
+# that claims no gain must pass: how much worse the change's median is
+# than the parent's (negative when better), against the metric's
+# `bound`, e.g. "+2.6% ≤ 25%". Then each side's attempted, failed
+# (with the failed share) and incorrect counts. It exits non-zero if any
+# run answered incorrectly. Progress and every raw result line go to
+# standard error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,19 +64,21 @@ for ((seed = 1; seed <= pairs; seed++)); do
     fi
 done
 
-# The end-to-end metrics as "name better" lines, in BENCHMARK.json order.
+# The end-to-end metrics as "name better bound" lines, in BENCHMARK.json
+# order (each metric's "bound" follows its "better").
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     on && /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/.*"name": *"|".*/, ""); name = $0 }
-    on && /"better"/ { gsub(/.*"better": *"|".*/, ""); print name, $0 }' BENCHMARK.json)
+    on && /"better"/ { gsub(/.*"better": *"|".*/, ""); better = $0 }
+    on && /"bound"/ { gsub(/.*"bound": *|[ ,]*$/, ""); print name, better, $0 }' BENCHMARK.json)
 
 echo "$workload: $pairs pairs, $seconds s per run, parent $rev, change the working tree"
 echo
-echo "| metric | parent | change | Δ median | change won | verdict |"
-echo "|---|---|---|---:|---:|---|"
-echo "$metrics" | while read -r name better; do
-    awk -v name="$name" -v better="$better" -v pairs="$pairs" '
+echo "| metric | parent | change | Δ median | change won | verdict | worse by (bound) |"
+echo "|---|---|---|---:|---:|---|---|"
+echo "$metrics" | while read -r name better bound; do
+    awk -v name="$name" -v better="$better" -v bound="$bound" -v pairs="$pairs" '
         # value extracts the metric from a result line.
         function value(line,   m) {
             if (!match(line, "\"" name "\":\\{\"value\":[-0-9.eE+]+")) return "nan"
@@ -107,10 +113,12 @@ echo "$metrics" | while read -r name better; do
             verdict = "unresolved"
             if (won >= 0.9 * pairs && gain > iqr) verdict = "better"
             if (lost >= 0.9 * pairs && -gain > iqr) verdict = "worse"
-            printf "| %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %d/%d | %s |\n",
+            worse = pm != 0 ? -100 * gain / pm : 0
+            printf "| %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %d/%d | %s | %+.1f%% %s %g%% |\n",
                 name, pm, quantile(ps, pairs, 0.25), quantile(ps, pairs, 0.75),
                 cm, quantile(cs, pairs, 0.25), quantile(cs, pairs, 0.75),
-                pm != 0 ? 100 * diff / pm : 0, won, pairs, verdict
+                pm != 0 ? 100 * diff / pm : 0, won, pairs, verdict,
+                worse, worse <= 100 * bound ? "≤" : ">", 100 * bound
         }' "$tmp/parent.results" "$tmp/change.results"
 done
 
@@ -122,7 +130,8 @@ for side in parent change; do
           match($0, /"failed":[0-9]+/); f += substr($0, RSTART + 9, RLENGTH - 9)
           if ($0 !~ /"correct":true/) bad++ }
         END { print a + 0, f + 0, bad + 0 }' "$tmp/$side.results")
-    echo "$side: attempted $attempted, failed $failed, incorrect runs $incorrect"
+    echo "$side: attempted $attempted, failed $failed ($(awk -v a="$attempted" -v f="$failed" \
+        'BEGIN { printf "%.2f%%", a ? 100 * f / a : 0 }')), incorrect runs $incorrect"
     if [ "$incorrect" -ne 0 ]; then
         status=1
     fi
